@@ -1,18 +1,18 @@
 """Exact rational linear algebra: rank, linear feasibility via equality
 elimination plus Fourier-Motzkin, and a two-variable-per-inequality solver.
 
-Everything runs over Fraction; no tolerances anywhere.  Sizes are tiny
-(at most a few dozen variables), so clarity beats asymptotics.
+No tolerances anywhere.  Linear feasibility scales each rational row to
+integers and eliminates fraction-free (each combination divided by its
+gcd), so its inner loops run on ints and only the returned point is
+Fraction; the two-variable solver also relaxes on integers.  Sizes are
+tiny (at most a few dozen variables), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
-
-Row = tuple[Fraction, ...]
-
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a matrix over the rationals by Gaussian elimination."""
@@ -38,19 +38,28 @@ def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
-def _normalize_inequality(coeffs: list[Fraction], const: Fraction) -> tuple[Row, Fraction]:
-    """Scale sum(coeffs * x) >= const to primitive integer form."""
-    denoms = [c.denominator for c in coeffs] + [const.denominator]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(c * lcm) for c in coeffs] + [int(const * lcm)]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
+def _integer_row(coeffs: Sequence, const) -> list[int]:
+    """[a_1, ..., a_n, c] for the row sum(a*x) >= c (or = c), times the
+    least positive integer that clears its denominators."""
+    values = [*coeffs, const]
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _primitive(row: Sequence[int]) -> tuple[int, ...]:
+    """The row divided by the gcd of its entries, which keeps its sign."""
+    g = gcd(*row)
+    return tuple(v // g for v in row) if g > 1 else tuple(row)
+
+
+def _eliminate(target: Sequence[int], source: Sequence[int], var: int) -> tuple[int, ...]:
+    """source[var] * target - target[var] * source: zero in column `var`.
+
+    The caller keeps source[var] > 0, so an inequality target keeps its
+    direction.
+    """
+    s, t = source[var], target[var]
+    return _primitive([s * a - t * b for a, b in zip(target, source)])
 
 
 def solve_linear_feasibility(
@@ -60,129 +69,129 @@ def solve_linear_feasibility(
 ) -> Optional[list[Fraction]]:
     """A point satisfying sum(a*x) = c and sum(a*x) >= c systems, or None.
 
-    Equalities are removed by Gaussian pivoting; the remaining free system
-    goes through Fourier-Motzkin with back-substitution to recover a point.
+    Equalities are removed by Gaussian pivoting (first nonzero column of
+    each reduced equality, kept in reduced row echelon form); the remaining
+    free system goes through Fourier-Motzkin with back-substitution to
+    recover a point.  Every row is scaled to integers on entry and every
+    elimination step is a fraction-free combination divided by its gcd, so
+    the kernel runs on ints; only the point it returns is built as Fraction.
     """
-    eqs = [([Fraction(a) for a in coeffs], Fraction(c)) for coeffs, c in equalities]
-    ineqs = [([Fraction(a) for a in coeffs], Fraction(c)) for coeffs, c in inequalities]
-
-    # substitutions[var] = (expr_coeffs over all vars, const): var = expr + const
-    substitutions: list[tuple[int, list[Fraction], Fraction]] = []
-    for row, const in eqs:
-        # Reduce by earlier pivots.
-        for var, expr, e_const in substitutions:
-            factor = row[var]
-            if factor != 0:
-                row[var] = Fraction(0)
-                for k in range(nvars):
-                    row[k] += factor * expr[k]
-                const -= factor * e_const
-        pivot = next((k for k in range(nvars) if row[k] != 0), None)
+    # pivots[k] = (var, row): row says sum(row[:-1] * x) = row[-1], with
+    # row[var] > 0 and a zero in every other pivot's column.
+    pivots: list[tuple[int, tuple[int, ...]]] = []
+    for coeffs, const in equalities:
+        row = _primitive(_integer_row(coeffs, const))
+        for var, pivot_row in pivots:
+            if row[var]:
+                row = _eliminate(row, pivot_row, var)
+        pivot = next((k for k in range(nvars) if row[k]), None)
         if pivot is None:
-            if const != 0:
+            if row[-1]:
                 return None
             continue
-        pv = row[pivot]
-        expr = [-row[k] / pv for k in range(nvars)]
-        expr[pivot] = Fraction(0)
-        e_const = const / pv
-        # Substitute the new pivot into previous substitutions.
-        for idx, (var, old_expr, old_const) in enumerate(substitutions):
-            factor = old_expr[pivot]
-            if factor != 0:
-                old_expr[pivot] = Fraction(0)
-                for k in range(nvars):
-                    old_expr[k] += factor * expr[k]
-                substitutions[idx] = (var, old_expr, old_const + factor * e_const)
-        substitutions.append((pivot, expr, e_const))
+        if row[pivot] < 0:
+            row = tuple(-v for v in row)
+        pivots = [
+            (var, _eliminate(old, row, pivot) if old[pivot] else old) for var, old in pivots
+        ]
+        pivots.append((pivot, row))
 
-    pivot_vars = {var for var, _, _ in substitutions}
+    pivot_vars = {var for var, _ in pivots}
     free_vars = [k for k in range(nvars) if k not in pivot_vars]
-    position = {var: idx for idx, var in enumerate(free_vars)}
 
-    reduced: set[tuple[Row, Fraction]] = set()
-    for row, const in ineqs:
-        row = list(row)
-        for var, expr, e_const in substitutions:
-            factor = row[var]
-            if factor != 0:
-                row[var] = Fraction(0)
-                for k in range(nvars):
-                    row[k] += factor * expr[k]
-                const -= factor * e_const
-        coeffs = [row[v] for v in free_vars]
-        if all(c == 0 for c in coeffs):
-            if const > 0:
+    reduced: set[tuple[int, ...]] = set()
+    for coeffs, const in inequalities:
+        row = _integer_row(coeffs, const)
+        for var, pivot_row in pivots:
+            if row[var]:
+                row = _eliminate(row, pivot_row, var)
+        free_row = [row[v] for v in free_vars]
+        if not any(free_row):
+            if row[-1] > 0:
                 return None
             continue
-        reduced.add(_normalize_inequality(coeffs, const))
+        free_row.append(row[-1])
+        reduced.add(_primitive(free_row))
 
-    free_point = _fourier_motzkin_point(len(free_vars), list(reduced))
-    if free_point is None:
+    solved = _fourier_motzkin_point(len(free_vars), list(reduced))
+    if solved is None:
         return None
+    numerators, denominator = solved
 
-    values: list[Optional[Fraction]] = [None] * nvars
-    for var in free_vars:
-        values[var] = free_point[position[var]]
-    for var, expr, e_const in reversed(substitutions):
-        acc = e_const
-        for k in range(nvars):
-            if expr[k] != 0:
-                acc += expr[k] * values[k]  # type: ignore[operator]
-        values[var] = acc
-    assert all(v is not None for v in values)
-    return values  # type: ignore[return-value]
+    values: list[Fraction] = [Fraction(0)] * nvars
+    free_numerators = [0] * nvars
+    for var, num in zip(free_vars, numerators):
+        values[var] = Fraction(num, denominator)
+        free_numerators[var] = num
+    for var, row in pivots:
+        rest = sum(a * p for a, p in zip(row, free_numerators) if a)
+        values[var] = Fraction(row[-1] * denominator - rest, row[var] * denominator)
+    return values
 
 
 def _fourier_motzkin_point(
-    nvars: int, ineqs: list[tuple[Row, Fraction]]
-) -> Optional[list[Fraction]]:
-    """Point satisfying sum(a*x) >= c constraints, by variable elimination."""
+    nvars: int, ineqs: list[tuple[int, ...]]
+) -> Optional[tuple[list[int], int]]:
+    """Point satisfying sum(a*x) >= c constraints, by variable elimination.
+
+    Rows are integer tuples (a_1, ..., a_n, c).  The point comes back as
+    integer numerators over one positive common denominator.  The last
+    variable is eliminated first and set to its largest lower bound (else
+    its smallest upper bound, else 0) once the others are fixed.
+    """
     if nvars == 0:
-        return [] if all(c <= 0 for _, c in ineqs) else None
+        return ([], 1) if all(row[-1] <= 0 for row in ineqs) else None
     var = nvars - 1
-    lowers = []  # x_var >= expr
-    uppers = []  # x_var <= expr
-    rest = set()
-    for coeffs, const in ineqs:
-        a = coeffs[var]
-        head = coeffs[:var]
+    lowers = []  # a > 0: x_var >= (c - head . x) / a
+    uppers = []  # a < 0: x_var <= (c - head . x) / a
+    rest: set[tuple[int, ...]] = set()
+    for row in ineqs:
+        a = row[var]
         if a == 0:
-            rest.add((head, const))
+            rest.add(row[:var] + row[-1:])
         elif a > 0:
-            lowers.append(([-c / a for c in head], const / a))
+            lowers.append(row)
         else:
-            uppers.append(([-c / a for c in head], const / a))
-    for lo_coeffs, lo_const in lowers:
-        for up_coeffs, up_const in uppers:
-            # lower bound <= upper bound
-            diff = [u - l for u, l in zip(up_coeffs, lo_coeffs)]
-            const = lo_const - up_const
-            if all(c == 0 for c in diff):
-                if const > 0:
+            uppers.append(row)
+    for lo in lowers:
+        a_lo = lo[var]
+        for up in uppers:
+            a_up = -up[var]
+            # a_lo * up + a_up * lo cancels x_var: lower bound <= upper bound.
+            combined = [a_lo * u + a_up * l for l, u in zip(lo, up)]
+            del combined[var]
+            if not any(combined[:-1]):
+                if combined[-1] > 0:
                     return None
                 continue
-            rest.add(_normalize_inequality(diff, const))
-    point = _fourier_motzkin_point(var, list(rest))
-    if point is None:
+            rest.add(_primitive(combined))
+    solved = _fourier_motzkin_point(var, list(rest))
+    if solved is None:
         return None
-    lo = None
-    for coeffs, const in lowers:
-        val = const + sum((c * p for c, p in zip(coeffs, point)), Fraction(0))
-        lo = val if lo is None or val > lo else lo
-    hi = None
-    for coeffs, const in uppers:
-        val = const + sum((c * p for c, p in zip(coeffs, point)), Fraction(0))
-        hi = val if hi is None or val < hi else hi
-    if lo is not None and hi is not None and lo > hi:
+    point, denominator = solved
+
+    def bound(row: tuple[int, ...]) -> tuple[int, int]:
+        # (c - head . x) / a at x = point / denominator, as (num, den > 0).
+        num = row[-1] * denominator - sum(a * p for a, p in zip(row, point) if a)
+        den = row[var] * denominator
+        return (num, den) if den > 0 else (-num, -den)
+
+    lo = hi = None
+    for row in lowers:
+        num, den = bound(row)
+        if lo is None or num * lo[1] > lo[0] * den:
+            lo = (num, den)
+    for row in uppers:
+        num, den = bound(row)
+        if hi is None or num * hi[1] < hi[0] * den:
+            hi = (num, den)
+    if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
         return None
-    if lo is not None:
-        choice = lo
-    elif hi is not None:
-        choice = hi
-    else:
-        choice = Fraction(0)
-    return point + [choice]
+    num, den = lo or hi or (0, 1)
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    common = lcm(denominator, den)
+    return [p * (common // denominator) for p in point] + [num * (common // den)], common
 
 
 class TwoVarSystem:

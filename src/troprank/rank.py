@@ -8,9 +8,13 @@ everywhere else.  Slot feasibility is decided exactly:
 
 * rank-one / star slots: two-variable sum constraints on the generator,
   solved by negative-cycle detection;
-* tree slots: a star witness if one exists, else exact linear feasibility
-  over every unrooted binary topology (zero-weight internal edges cover
-  the degenerate shapes, so binary topologies suffice).
+* tree slots: quartets first.  A quartet pairing that lies in the slot
+  forces every pairing with a strictly larger sum to be the quartet's
+  split; two forced pairings of one quartet make the slot infeasible.
+  With no forced split a star witness is tried; otherwise exact linear
+  feasibility runs, in integers, over the unrooted binary topologies
+  showing every forced split (zero-weight internal edges cover the
+  degenerate shapes, so binary topologies suffice).
 
 Search slots must stay independent in the deficiency graph (a slot holding
 both ends of a deficiency edge is infeasible), which is also where the
@@ -65,6 +69,10 @@ INFINITE = math.inf
 
 class ConstructionError(RuntimeError):
     """A padded construction failed verification at every retry scale."""
+
+
+class CertificateError(RuntimeError):
+    """A computed answer failed the check that certifies it."""
 
 
 def basis_for_notion(notion: str) -> str:
@@ -431,8 +439,7 @@ def exact_rank(
 
     The search runs r upward from the chromatic lower bound (or from 1
     when `search_from_one`), stopping at the constructive upper bound,
-    which is itself a verified decomposition.  Intended scale: n <= 6 for
-    tree rank, n <= 7 otherwise.
+    which is itself a verified decomposition.  Intended scale: n <= 7.
     """
     if notion not in NOTIONS:
         raise ValueError(f"unknown rank notion {notion!r}")
@@ -472,7 +479,8 @@ def exact_rank(
         if witnesses is not None:
             dec = _decomposition_from_witnesses(m, notion, witnesses)
             report = verify(m, dec)
-            assert report, report
+            if not report:
+                raise CertificateError(f"searched decomposition fails verification: {report}")
             cert = _lower_certificate(chi, r, searched_through)
             return RankResult(notion, "finite", r, r, r, chi, cert, dec)
         searched_through = r
@@ -511,7 +519,8 @@ class _AssignmentSearcher:
     Slots must stay independent in the deficiency graph; slot contents are
     checked for variety feasibility eagerly (rank-one and star slots,
     where the check is a cheap two-variable system) or at the leaves
-    (tree slots), with results cached by position set.
+    (tree slots: quartet pruning, then one integer LP per remaining
+    topology), with results cached by position set.
     """
 
     def __init__(self, m: Matrix, notion: str, hypergraph: DeficiencyHypergraph):
@@ -533,6 +542,10 @@ class _AssignmentSearcher:
                 self.adj_mask[self.index[p]] |= 1 << self.index[q]
         self.feasible_cache: dict[frozenset, Optional[ClassWitness]] = {}
         self.eager = notion in (SYM, STAR)
+        # Tree slots work on the entries times `scale`, all integers; a
+        # tree LP's point is divided by `scale` again.
+        self.scale = math.lcm(*(v.denominator for _, v in m.items()))
+        self.values = {p: v.numerator * (self.scale // v.denominator) for p, v in m.items()}
 
     def search(self, r: int) -> Optional[list[ClassWitness]]:
         order = self.order
@@ -591,113 +604,152 @@ class _AssignmentSearcher:
         return ("vector", tuple(solution))
 
     def _tree_witness(self, cls: frozenset) -> Optional[ClassWitness]:
-        star = self._sum_witness(cls)
-        if star is not None:
-            return star
-        n = self.m.n
-        for topology in _binary_topologies(n):
-            point = self._solve_topology(topology, cls)
-            if point is not None:
-                return ("tree", point)
+        forced = _forced_splits(self.m.n, self.values, cls)
+        if forced is None:
+            return None
+        if not forced:
+            # A forced split needs one pairing sum above another, which a
+            # star (all three sums equal) never has.
+            star = self._sum_witness(cls)
+            if star is not None:
+                return star
+        for topology in _binary_topologies(self.m.n):
+            if all(topology.splits[q] == code for q, code in forced):
+                point = self._solve_topology(topology, cls)
+                if point is not None:
+                    return ("tree", point)
         return None
 
-    def _solve_topology(self, topology: "_Topology", cls: frozenset):
+    def _solve_topology(self, topology: "_Topology", cls: frozenset) -> Optional[WeightedTree]:
+        n = self.m.n
         nvars = len(topology.edges)
         eqs = []
         ineqs = []
-        for (i, j), path in topology.paths.items():
-            row = [Fraction(0)] * nvars
-            for e in path:
-                row[e] = Fraction(1)
-            target = self.m[(i, j)]
-            if (i, j) in cls:
-                eqs.append((row, target))
-            else:
-                ineqs.append((row, target))
-        for e in topology.internal_edges:
-            row = [Fraction(0)] * nvars
-            row[e] = Fraction(-1)
-            ineqs.append((row, Fraction(0)))
+        for pos, path in zip(self.m.positions(), topology.paths):
+            row = [(path >> e) & 1 for e in range(nvars)]
+            (eqs if pos in cls else ineqs).append((row, self.values[pos]))
+        for e, (u, _) in enumerate(topology.edges):
+            if u > n:  # u < v, so both ends are internal
+                row = [0] * nvars
+                row[e] = -1
+                ineqs.append((row, 0))
         point = solve_linear_feasibility(nvars, eqs, ineqs)
         if point is None:
             return None
-        return topology.build_tree(point)
+        return topology.build_tree(n, [x / self.scale for x in point])
+
+
+Quartet = tuple[tuple[Position, Position], ...]
+
+
+@lru_cache(maxsize=None)
+def _quartets(n: int) -> tuple[Quartet, ...]:
+    """The three pairings (ij|kl, ik|jl, il|jk) of each i < j < k < l.
+
+    A pairing's index in its quartet is its split code.
+    """
+    return tuple(
+        (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))
+        for i, j, k, l in itertools.combinations(range(1, n + 1), 4)
+    )
+
+
+def _forced_splits(
+    n: int, values: dict[Position, int], cls: frozenset
+) -> Optional[list[tuple[int, int]]]:
+    """(quartet, split code) pairs that every tree witness of `cls` shows.
+
+    A tree matrix attains the minimum of a quartet's three pairing sums
+    twice, and its split pairing carries the largest sum (internal edges
+    are <= 0).  A witness equals the target on a pairing A inside the slot
+    and dominates it elsewhere, so a pairing with a strictly larger target
+    sum than A has a larger witness sum than A and must be the split.
+    None when some quartet has two such pairings: no tree fits the slot.
+    """
+    forced = []
+    for q, pairings in enumerate(_quartets(n)):
+        sums = [values[a] + values[b] for a, b in pairings]
+        inside = [s for (a, b), s in zip(pairings, sums) if a in cls and b in cls]
+        if not inside:
+            continue
+        low = min(inside)
+        above = [code for code, s in enumerate(sums) if s > low]
+        if len(above) > 1:
+            return None
+        if above:
+            forced.append((q, above[0]))
+    return forced
 
 
 class _Topology:
-    """An unrooted binary tree shape on leaves 1..n with indexed edges."""
+    """An unrooted binary tree shape on leaves 1..n, reduced to what a tree
+    slot check reads.
 
-    def __init__(self, n: int, adjacency: dict[int, set[int]]):
-        self.n = n
-        self.adjacency = adjacency
-        self.edges: list[tuple[int, int]] = sorted(
-            (min(u, v), max(u, v)) for u in adjacency for v in adjacency[u] if u < v
+    `edges` is sorted; an edge's index there is its LP variable.
+    `paths[k]` is the bitmask of the edges on the path between the k-th
+    leaf pair (i < j, in `itertools.combinations` order).  `splits[q]` is
+    the split code of the q-th quartet of `_quartets(n)`.
+    """
+
+    __slots__ = ("edges", "paths", "splits")
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        self.edges = edges
+        adjacency: dict[int, list[tuple[int, int]]] = {}
+        for k, (u, v) in enumerate(edges):
+            adjacency.setdefault(u, []).append((v, k))
+            adjacency.setdefault(v, []).append((u, k))
+        paths = []
+        for i in range(1, n):
+            masks = {i: 0}
+            stack = [i]
+            while stack:
+                u = stack.pop()
+                for v, k in adjacency[u]:
+                    if v not in masks:
+                        masks[v] = masks[u] | 1 << k
+                        stack.append(v)
+            paths.extend(masks[j] for j in range(i + 1, n + 1))
+        self.paths = tuple(paths)
+        path = dict(zip(itertools.combinations(range(1, n + 1), 2), self.paths))
+        # In a binary tree exactly one pairing of a quartet has disjoint paths.
+        self.splits = bytes(
+            next(code for code, (a, b) in enumerate(pairings) if not path[a] & path[b])
+            for pairings in _quartets(n)
         )
-        index = {e: k for k, e in enumerate(self.edges)}
-        self.internal_edges = [
-            k for k, (u, v) in enumerate(self.edges) if u > n and v > n
-        ]
-        self.paths: dict[Position, tuple[int, ...]] = {}
-        for i in range(1, n + 1):
-            parents = self._parents(i)
-            for j in range(i + 1, n + 1):
-                path = []
-                v = j
-                seen = {j}
-                while v != i:
-                    u = parents[v]
-                    path.append(index[(min(u, v), max(u, v))])
-                    v = u
-                    seen.add(v)
-                self.paths[(i, j)] = tuple(path)
 
-    def _parents(self, root: int) -> dict[int, int]:
-        parents = {root: root}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in self.adjacency[u]:
-                if v not in parents:
-                    parents[v] = u
-                    stack.append(v)
-        return parents
-
-    def build_tree(self, weights: Sequence[Fraction]) -> WeightedTree:
+    def build_tree(self, n: int, weights: Sequence[Fraction]) -> WeightedTree:
         adj: dict[int, dict[int, Fraction]] = {}
         for k, (u, v) in enumerate(self.edges):
             adj.setdefault(u, {})[v] = weights[k]
             adj.setdefault(v, {})[u] = weights[k]
-        tree = WeightedTree(self.n, adj)
+        tree = WeightedTree(n, adj)
         tree.validate()
         return tree
 
 
 @lru_cache(maxsize=None)
 def _binary_topologies(n: int) -> tuple[_Topology, ...]:
-    """All unrooted binary shapes on n leaves ((2n-5)!! of them)."""
-    assert n >= 3
-    base = {1: {n + 1}, 2: {n + 1}, 3: {n + 1}, n + 1: {1, 2, 3}}
-    shapes = [base]
-    next_internal = n + 2
-    for leaf in range(4, n + 1):
-        grown = []
-        for shape in shapes:
-            edges = sorted(
-                (min(u, v), max(u, v)) for u in shape for v in shape[u] if u < v
-            )
-            for u, v in edges:
-                new = {w: set(nb) for w, nb in shape.items()}
-                mid = next_internal
-                new[u].remove(v)
-                new[v].remove(u)
-                new[u].add(mid)
-                new[v].add(mid)
-                new[mid] = {u, v, leaf}
-                new[leaf] = {mid}
-                grown.append(new)
-        shapes = grown
-        next_internal += 1
-    return tuple(_Topology(n, shape) for shape in shapes)
+    """All unrooted binary shapes on n leaves ((2n-5)!! of them).
+
+    Leaves 4..n are inserted in turn on each edge of the sorted edge list,
+    depth first; leaf `leaf` brings internal vertex n + leaf - 2.
+    """
+    if n < 3:
+        raise ValueError("binary tree shapes need at least three leaves")
+    shapes = []
+
+    def grow(edges: list[tuple[int, int]], leaf: int) -> None:
+        if leaf > n:
+            shapes.append(_Topology(n, tuple(edges)))
+            return
+        mid = n + leaf - 2
+        for u, v in edges:
+            grown = [e for e in edges if e != (u, v)] + [(u, mid), (v, mid), (leaf, mid)]
+            grow(sorted(grown), leaf + 1)
+
+    grow([(1, n + 1), (2, n + 1), (3, n + 1)], 4)
+    return tuple(shapes)
 
 
 def _decomposition_from_witnesses(

@@ -3,6 +3,7 @@ certificate verification."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,11 @@ from troprank.generators import tr6_blocks, tr6_matrix
 from troprank.membership import PLUECKER, is_tree_matrix
 from troprank.deficiency import build_deficiency, chromatic_number
 from troprank.rank import (
+    CertificateError,
+    _AssignmentSearcher,
+    _binary_topologies,
+    _forced_splits,
+    _quartets,
     block_matrix,
     exact_rank,
     finiteness_violation,
@@ -387,3 +393,61 @@ class TestSolverStress:
             result = exact_rank(m, SYM)
             assert verify(m, result.decomposition)
             assert result.chromatic_bound <= result.value
+
+
+class TestQuartetPruning:
+    def test_split_codes_match_the_four_point_condition(self):
+        # Negative internal edges make each quartet's split pairing the
+        # unique largest pairing sum.
+        n = 6
+        topologies = _binary_topologies(n)
+        assert len(topologies) == 105
+        for topology in topologies:
+            weights = [Fraction(-1) if u > n else Fraction(3) for u, _ in topology.edges]
+            d = topology.build_tree(n, weights).leaf_distance_matrix()
+            for pairings, code in zip(_quartets(n), topology.splits):
+                sums = [d[a] + d[b] for a, b in pairings]
+                assert sums[code] > max(s for k, s in enumerate(sums) if k != code)
+
+    @pytest.mark.parametrize("n, matrices, slots", [(5, 10, 10), (6, 4, 8)])
+    def test_rejected_topologies_are_lp_infeasible(self, n, matrices, slots):
+        rng = random.Random(7000 + n)
+        topologies = _binary_topologies(n)
+        rejected = forced_witnesses = 0
+        for _ in range(matrices):
+            m = DissimilarityMatrix.from_function(
+                n, lambda i, j: Fraction(rng.randint(0, 8), rng.choice((1, 2, 3)))
+            )
+            searcher = _AssignmentSearcher(m, TREE, build_deficiency(m, PLUECKER))
+            for _ in range(slots):
+                cls = frozenset(rng.sample(m.positions(), rng.randint(2, n + 1)))
+                forced = _forced_splits(n, searcher.values, cls)
+                trees = [searcher._solve_topology(t, cls) for t in topologies]
+                for topology, tree in zip(topologies, trees):
+                    if forced is None or any(topology.splits[q] != c for q, c in forced):
+                        assert tree is None
+                        rejected += 1
+                # Filter-then-LP finds the witness an LP over every topology finds.
+                unpruned = searcher._sum_witness(cls) or next(
+                    (("tree", t) for t in trees if t is not None), None
+                )
+                assert searcher._tree_witness(cls) == unpruned
+                forced_witnesses += bool(forced) and unpruned is not None
+        assert rejected > 100 and forced_witnesses > 0
+
+
+class TestCertificateChecks:
+    def test_failed_search_verification_raises(self, monkeypatch):
+        # A raise, not an assert, so the check also runs under python -O.
+        import troprank.rank as rank_module
+
+        build = rank_module._decomposition_from_witnesses
+
+        def drop_last(m, notion, witnesses):
+            dec = build(m, notion, witnesses)
+            return Decomposition(dec.notion, dec.summands[:-1])
+
+        monkeypatch.setattr(rank_module, "_decomposition_from_witnesses", drop_last)
+        m = random_dissimilarity(random.Random(2), 7, 0, 3)
+        with pytest.raises(CertificateError):
+            exact_rank(m, TREE)

@@ -41,6 +41,8 @@ from .membership import (
     vanishes_at,
 )
 from .rank import (
+    RankResult,
+    compute_rank,
     exact_rank,
     normalize_diagonal,
     star_upper_decomposition,
@@ -62,6 +64,7 @@ __all__ = [
     "SymmetricMatrix",
     "WeightedTree",
     "Decomposition",
+    "RankResult",
     "NOTIONS",
     "SYM",
     "STAR",
@@ -70,6 +73,7 @@ __all__ = [
     "build_deficiency",
     "chromatic_number",
     "classify_petersen",
+    "compute_rank",
     "dimension_formula",
     "dimension_report",
     "exact_rank",

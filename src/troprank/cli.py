@@ -1,8 +1,12 @@
 """Command-line surface.
 
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 for a
-determination, 2 for usage or parse errors, 3 when only an interval could
-be certified, 4 for infinite rank (a determination scripts can branch on).
+determination, 1 when `verify` rejects a decomposition, 2 for usage or
+parse errors, 3 when only an interval could be certified, 4 for infinite
+rank (a determination scripts can branch on).
+
+`rank` only parses, checks the file kind and emits; the method dispatch
+lives in `troprank.rank.compute_rank`.
 """
 
 from __future__ import annotations
@@ -15,24 +19,18 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .core import DissimilarityMatrix, Matrix, SymmetricMatrix, project
-from .decomposition import (
-    Decomposition,
-    NOTIONS,
-    STAR,
-    SYM,
-    TREE,
-    verify_matrices,
-)
+from .core import INFINITE, DissimilarityMatrix, Matrix, SymmetricMatrix, project
+from .decomposition import NOTIONS, STAR, SYM, TREE, verify_matrices
 from .deficiency import build_deficiency, chromatic_number
 from .dimension import dimension_report
 from .generators import GENERATORS, generate, random_matrix
-from .matrixio import MatrixFormatError, parse_matrix, serialize_matrix
-from .membership import BASES, is_star_tree
+from .matrixio import MatrixFormatError, load_matrix, parse_matrix, serialize_matrix
+from .membership import BASES
 from .rank import (
-    INFINITE,
-    RankResult,
+    METHODS,
+    compute_rank,
     exact_rank,
+    finiteness_violation,
     star_upper_decomposition,
     symmetric_upper_decomposition,
     tree_upper_decomposition,
@@ -52,10 +50,7 @@ def _emit(payload: dict) -> None:
 
 
 def _load(path: str) -> Matrix:
-    if path == "-":
-        return parse_matrix(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_matrix(handle.read())
+    return parse_matrix(sys.stdin.read()) if path == "-" else load_matrix(path)
 
 
 def _check_space(m: Matrix, notion: str) -> None:
@@ -65,155 +60,16 @@ def _check_space(m: Matrix, notion: str) -> None:
         raise MatrixFormatError(f"{notion} rank needs a dissimilarity matrix file")
 
 
-def _basis_of(notion: str) -> str:
-    from .rank import basis_for_notion
-
-    return basis_for_notion(notion)
-
-
-def _is_zero_one(m: Matrix) -> bool:
-    return all(v in (0, 1) for _, v in m.items())
-
-
-def _closed_form_rank(m: Matrix, notion: str) -> Optional[RankResult]:
-    """The documented closed-form paths for `--method auto`."""
-    chi = None
-    if notion == SYM and m.n == 3:
-        from .small_cases import sym3_rank
-
-        outcome = sym3_rank(m)
-        if outcome.value == INFINITE:
-            return _infinite_result(notion, outcome.infinite_witness)
-        chi = int(chromatic_number(build_deficiency(m, _basis_of(notion))))
-        return _finite_result(notion, int(outcome.value), chi, outcome.decomposition, "closed-form")
-    if notion == STAR and isinstance(m, DissimilarityMatrix) and m.n == 5:
-        from .small_cases import star5_rank2_decompose, star5_rank2_test
-
-        chi = int(chromatic_number(build_deficiency(m, _basis_of(notion))))
-        if is_star_tree(m):
-            from .core import star_generator
-            from .decomposition import star_summand
-
-            dec = Decomposition(STAR, (star_summand(star_generator(m)),))
-            return _finite_result(notion, 1, chi, dec, "closed-form")
-        ok, witness = star5_rank2_test(m)
-        if ok:
-            dec = star5_rank2_decompose(m, witness)
-            return _finite_result(notion, 2, chi, dec, "closed-form")
-        dec = star_upper_decomposition(m)
-        return _finite_result(notion, 3, chi, dec, "closed-form")
-    if notion == TREE and isinstance(m, DissimilarityMatrix) and m.n == 5:
-        from .small_cases import tree5_rank
-
-        outcome = tree5_rank(m)
-        chi = int(chromatic_number(build_deficiency(m, _basis_of(notion))))
-        return _finite_result(notion, outcome.value, chi, outcome.decomposition, "closed-form")
-    if _is_zero_one(m):
-        return _zero_one_rank(m, notion)
-    return None
-
-
-def _zero_one_rank(m: Matrix, notion: str) -> RankResult:
-    from .covers import star_tree_rank_01, symmetric_rank_01, tree_rank_01
-
-    if notion == SYM:
-        outcome = symmetric_rank_01(m)
-        if outcome.value == INFINITE:
-            return _infinite_result(notion, outcome.infinite_witness)
-    elif notion == STAR:
-        outcome = star_tree_rank_01(m)
-    else:
-        outcome = tree_rank_01(m)
-    chi = int(chromatic_number(build_deficiency(m, _basis_of(notion))))
-    result = _finite_result(notion, int(outcome.value), chi, outcome.decomposition, "covers")
-    certificate = dict(result.lower_certificate)
-    certificate["cover"] = [el.to_json_dict() for el in outcome.cover]
-    if outcome.solid is not None:
-        certificate["solid"] = outcome.solid
-    return RankResult(
-        result.notion,
-        result.status,
-        result.value,
-        result.lower,
-        result.upper,
-        result.chromatic_bound,
-        certificate,
-        result.decomposition,
-    )
-
-
-def _finite_result(
-    notion: str, value: int, chi: int, dec: Optional[Decomposition], method: str
-) -> RankResult:
-    return RankResult(
-        notion,
-        "finite",
-        value,
-        value,
-        value,
-        chi,
-        {"type": method},
-        dec,
-    )
-
-
-def _infinite_result(notion: str, witness) -> RankResult:
-    return RankResult(
-        notion,
-        "infinite",
-        INFINITE,
-        INFINITE,
-        INFINITE,
-        INFINITE,
-        {"type": "finiteness-violation", "pair": list(witness)},
-        infinite_witness=witness,
-    )
-
-
-def _bounds_rank(m: Matrix, notion: str) -> RankResult:
-    from .rank import _upper_for_search, finiteness_violation
-
-    if notion == SYM:
-        violation = finiteness_violation(m)
-        if violation is not None:
-            return _infinite_result(notion, violation)
-    chi = int(chromatic_number(build_deficiency(m, _basis_of(notion))))
-    upper = _upper_for_search(m, notion)
-    if chi >= len(upper):
-        return _finite_result(notion, len(upper), chi, upper, "bounds")
-    return RankResult(
-        notion,
-        "interval",
-        None,
-        chi,
-        len(upper),
-        chi,
-        {"type": "chromatic", "value": chi},
-        upper,
-    )
-
-
 def cmd_rank(args) -> int:
     m = _load(args.file)
     notion = NOTION_ALIASES[args.notion]
     _check_space(m, notion)
-    if args.method == "exact":
-        result = exact_rank(m, notion, budget=args.budget)
-    elif args.method == "bounds":
-        result = _bounds_rank(m, notion)
-    else:
-        result = _closed_form_rank(m, notion)
-        if result is None:
-            result = exact_rank(m, notion, budget=args.budget)
+    result = compute_rank(m, notion, args.method, args.budget)
     payload = result.to_json_dict()
     if args.no_certificates:
         payload.pop("decomposition", None)
     _emit(payload)
-    if result.status == "infinite":
-        return EXIT_INFINITE
-    if result.status == "interval":
-        return EXIT_INTERVAL
-    return EXIT_OK
+    return {"infinite": EXIT_INFINITE, "interval": EXIT_INTERVAL}.get(result.status, EXIT_OK)
 
 
 def cmd_decompose(args) -> int:
@@ -228,8 +84,6 @@ def cmd_decompose(args) -> int:
         dec = result.decomposition
     else:
         if notion == SYM:
-            from .rank import finiteness_violation
-
             violation = finiteness_violation(m)
             if violation is not None:
                 _emit({"error": "infinite rank", "violating_pair": list(violation)})
@@ -326,9 +180,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.which == "rank7-search":
-        from .experiments import rank7_search
+    # Imported here so that other commands do not load the experiment and
+    # cover modules, about 17 ms of import without bytecode caches.
+    from .experiments import rank7_search, submatrix_conjecture
 
+    if args.which == "rank7-search":
         candidates, best = rank7_search(args.trials, args.seed)
         _emit(
             {
@@ -338,8 +194,6 @@ def cmd_experiment(args) -> int:
             }
         )
         return EXIT_OK
-    from .experiments import submatrix_conjecture
-
     report = submatrix_conjecture(args.trials, args.seed)
     _emit(report.to_json_dict())
     return EXIT_OK
@@ -356,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="compute a rank with certificates")
     p.add_argument("file", help="matrix file ('-' for stdin)")
     p.add_argument("--notion", required=True, choices=sorted(NOTION_ALIASES))
-    p.add_argument("--method", default="auto", choices=["auto", "exact", "bounds"])
+    p.add_argument("--method", default="auto", choices=METHODS)
     p.add_argument("--budget", type=int, default=None, help="largest rank to search")
     p.add_argument(
         "--no-certificates",

@@ -9,11 +9,14 @@ unordered index pair.  Indices are 1-based in the public API.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-Scalar = Fraction
+# The rank of a symmetric matrix that no rank-one sum reaches, and the
+# chromatic number of a deficiency graph with a loop.
+INFINITE = math.inf
 
 
 def frac(value) -> Fraction:
@@ -28,11 +31,6 @@ def frac(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
-def format_rational(q: Fraction) -> str:
-    """Render as "p/q", or plain integer when the denominator is 1."""
-    return str(q)
 
 
 def format_decimal_or_ratio(q: Fraction) -> str:
@@ -264,14 +262,6 @@ def rank_one_generator(m: SymmetricMatrix) -> tuple[Fraction, ...]:
     return v
 
 
-def is_rank_one(m: SymmetricMatrix) -> bool:
-    try:
-        rank_one_generator(m)
-    except ValueError:
-        return False
-    return True
-
-
 def star_generator(m: DissimilarityMatrix) -> tuple[Fraction, ...]:
     """Recover v with m = projection of v^T (+) v, or raise ValueError."""
     v1 = (m[(1, 2)] + m[(1, 3)] - m[(2, 3)]) / 2
@@ -297,7 +287,7 @@ def pad_generator(values: dict[int, Fraction], n: int, c) -> tuple[Fraction, ...
     """
     c = frac(c)
     fixed = [frac(x) for x in values.values()]
-    pad = max(c / 2, c - min(fixed)) if fixed else c
+    pad = _pad_value(fixed, c) if fixed else c
     return tuple(frac(values[i]) if i in values else pad for i in range(1, n + 1))
 
 

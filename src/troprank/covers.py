@@ -14,12 +14,12 @@ which is exact at the intended scale (n <= 12 or so):
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    INFINITE,
     DissimilarityMatrix,
     Matrix,
     SymmetricMatrix,
@@ -32,14 +32,12 @@ from .decomposition import (
     STAR,
     SYM,
     TREE,
+    certify,
     rank1_summand,
     star_summand,
     tree_summand,
-    verify,
 )
 from .trees import WeightedTree, _add_edge
-
-INFINITE = math.inf
 
 CLIQUE = "clique"
 STAR_ELEMENT = "star"
@@ -234,21 +232,6 @@ class Rank01Result:
     cover_size: Optional[int] = None
     solid: Optional[bool] = None
 
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "rank": "infinity" if self.value == INFINITE else self.value,
-            "cover": [e.to_json_dict() for e in self.cover],
-        }
-        if self.cover_size is not None:
-            out["cover_size"] = self.cover_size
-        if self.solid is not None:
-            out["solid"] = self.solid
-        if self.infinite_witness is not None:
-            out["violating_pair"] = list(self.infinite_witness)
-        if self.decomposition is not None:
-            out["decomposition"] = self.decomposition.to_json_dict()
-        return out
-
 
 def symmetric_rank_01(m: SymmetricMatrix) -> Rank01Result:
     """Symmetric rank of a 0/1 matrix via minimum clique covers.
@@ -272,13 +255,11 @@ def symmetric_rank_01(m: SymmetricMatrix) -> Rank01Result:
             rank1_summand([0 if v in set(el.vertices) else 1 for v in range(1, n + 1)])
             for el in cover
         ]
-        dec = Decomposition(SYM, tuple(summands))
-        assert verify(m, dec)
+        dec = certify(m, Decomposition(SYM, tuple(summands)))
         return Rank01Result(size, tuple(cover), dec)
     if not zero_diag:
         # All-ones matrix: one rank-one summand from the constant 1/2 vector.
-        dec = Decomposition(SYM, (rank1_summand([frac("1/2")] * n),))
-        assert verify(m, dec)
+        dec = certify(m, Decomposition(SYM, (rank1_summand([frac("1/2")] * n),)))
         return Rank01Result(1, (), dec)
     sub = SymmetricMatrix.from_function(
         len(zero_diag), lambda a, b: m[(zero_diag[a - 1], zero_diag[b - 1])]
@@ -290,8 +271,7 @@ def symmetric_rank_01(m: SymmetricMatrix) -> Rank01Result:
         values = {zero_diag[k]: s.generator[k] for k in range(len(zero_diag))}
         summands.append(rank1_summand(pad_generator(values, n, c)))
     summands.append(rank1_summand([frac("1/2")] * n))
-    dec = Decomposition(SYM, tuple(summands))
-    assert verify(m, dec)
+    dec = certify(m, Decomposition(SYM, tuple(summands)))
     return Rank01Result(inner.value + 1, inner.cover, dec)
 
 
@@ -405,17 +385,14 @@ def star_tree_rank_01(m: DissimilarityMatrix) -> Rank01Result:
     use = solid_cover if solid else cover
     summands = [star_summand(_star_cover_vector(el, n)) for el in use]
     if solid:
-        dec = Decomposition(STAR, tuple(summands))
-        assert verify(m, dec)
+        dec = certify(m, Decomposition(STAR, tuple(summands)))
         return Rank01Result(r, tuple(use), dec, cover_size=r, solid=True)
     if summands:
         if trop_sum_all([s.matrix for s in summands]) == m:
-            dec = Decomposition(STAR, tuple(summands))
-            assert verify(m, dec)
+            dec = certify(m, Decomposition(STAR, tuple(summands)))
             return Rank01Result(r, tuple(use), dec, cover_size=r, solid=False)
     summands.append(star_summand([frac("1/2")] * n))
-    dec = Decomposition(STAR, tuple(summands))
-    assert verify(m, dec)
+    dec = certify(m, Decomposition(STAR, tuple(summands)))
     return Rank01Result(r + 1, tuple(use), dec, cover_size=r, solid=False)
 
 
@@ -535,39 +512,11 @@ def tree_rank_01(m: DissimilarityMatrix) -> Rank01Result:
     summands = [tree_summand(multipartite_tree(el, n)) for el in cover]
     isolated = g.isolated_vertices()
     if r > 0 and len(isolated) <= 1:
-        dec = Decomposition(TREE, tuple(summands))
-        assert verify(m, dec)
+        dec = certify(m, Decomposition(TREE, tuple(summands)))
         return Rank01Result(r, tuple(cover), dec, cover_size=r)
     summands.append(star_summand([frac("1/2")] * n))
-    dec = Decomposition(TREE, tuple(summands))
-    assert verify(m, dec)
+    dec = certify(m, Decomposition(TREE, tuple(summands)))
     return Rank01Result(r + 1, tuple(cover), dec, cover_size=r)
-
-
-def solid_cover_weakening_flag(m: DissimilarityMatrix) -> Optional[dict]:
-    """Compare the cover answer with the exact solver (open question).
-
-    The cover computation returns r+1 whenever no solid size-r cover
-    exists, but that direction is not known to be forced.  When the exact
-    solver certifies rank r anyway, the instance would show the solid
-    condition can be weakened; it is reported rather than asserted away.
-    Returns None when the two answers agree, else a description of the
-    discrepancy.  Exact search only runs at the solver's scale.
-    """
-    from .rank import exact_rank
-
-    cover_result = star_tree_rank_01(m)
-    if cover_result.solid or cover_result.value == INFINITE:
-        return None
-    exact = exact_rank(m, STAR)
-    if exact.value == cover_result.value:
-        return None
-    return {
-        "matrix": [[None if x is None else str(x) for x in row] for row in m.to_rows()],
-        "cover_bound": cover_result.value,
-        "exact_rank": exact.value,
-        "cover_size": cover_result.cover_size,
-    }
 
 
 def find_clique_of_size(g: ZeroOneGraph, k: int) -> Optional[tuple[int, ...]]:
@@ -601,27 +550,18 @@ def cover_via_ramsey_witness(g: ZeroOneGraph, k: int) -> Optional[list[CoverElem
     n >= 18 and k = 4 one of the two always exists.
     """
     clique = find_clique_of_size(g, k)
+    chosen = clique if clique is not None else find_independent_set_of_size(g, k)
+    if chosen is None:
+        return None
+    cover = [
+        CoverElement(STAR_ELEMENT, center=v, leaves=tuple(sorted(g.neighbors(v))))
+        for v in g.vertices()
+        if v not in chosen and g.neighbors(v)
+    ]
     if clique is not None:
-        outside = [v for v in g.vertices() if v not in clique]
-        cover = [
-            CoverElement(STAR_ELEMENT, center=v, leaves=tuple(sorted(g.neighbors(v))))
-            for v in outside
-            if g.neighbors(v)
-        ]
         cover.append(CoverElement(CLIQUE, vertices=clique))
-        _check_edge_cover(g, cover)
-        return cover
-    independent = find_independent_set_of_size(g, k)
-    if independent is not None:
-        outside = [v for v in g.vertices() if v not in independent]
-        cover = [
-            CoverElement(STAR_ELEMENT, center=v, leaves=tuple(sorted(g.neighbors(v))))
-            for v in outside
-            if g.neighbors(v)
-        ]
-        _check_edge_cover(g, cover)
-        return cover
-    return None
+    _check_edge_cover(g, cover)
+    return cover
 
 
 def _check_edge_cover(g: ZeroOneGraph, cover: Sequence[CoverElement]) -> None:

@@ -4,21 +4,22 @@ A decomposition is a list of witness matrices, each generated by a row
 vector (rank-one / star summands) or a weighted tree.  Verification is the
 whole point of the constructions elsewhere: every summand must pass its
 membership test and the tropical sum must equal the target entry for
-entry.
+entry.  `certify` and `verified_padded` are the two ways the constructions
+use it; both raise, so the checks also run under `python -O`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .core import (
     DissimilarityMatrix,
     Matrix,
     Position,
     SymmetricMatrix,
-    format_rational,
+    as_vector,
     rank_one_symmetric,
     star_matrix,
     trop_sum_all,
@@ -35,6 +36,16 @@ KIND_RANK1 = "rank1-symmetric"
 KIND_STAR = "star"
 KIND_TREE = "tree"
 
+PADDING_RETRIES = 40
+
+
+class ConstructionError(RuntimeError):
+    """A padded construction failed verification at every retry scale."""
+
+
+class CertificateError(RuntimeError):
+    """A computed answer failed the check that certifies it."""
+
 
 @dataclass(frozen=True)
 class Summand:
@@ -47,7 +58,7 @@ class Summand:
         if isinstance(self.generator, WeightedTree):
             out["newick"] = self.generator.to_newick()
         else:
-            out["generator"] = [format_rational(x) for x in self.generator]
+            out["generator"] = [str(x) for x in self.generator]
         return out
 
 
@@ -71,23 +82,15 @@ class Decomposition:
 
 
 def _rows_json(m: Matrix) -> list[list[Optional[str]]]:
-    return [
-        [None if x is None else format_rational(x) for x in row] for row in m.to_rows()
-    ]
-
-
-def _vec(v: Sequence) -> tuple[Fraction, ...]:
-    from .core import as_vector
-
-    return as_vector(v)
+    return [[None if x is None else str(x) for x in row] for row in m.to_rows()]
 
 
 def rank1_summand(v: Sequence) -> Summand:
-    return Summand(KIND_RANK1, rank_one_symmetric(v), _vec(v))
+    return Summand(KIND_RANK1, rank_one_symmetric(v), as_vector(v))
 
 
 def star_summand(v: Sequence) -> Summand:
-    return Summand(KIND_STAR, star_matrix(v), _vec(v))
+    return Summand(KIND_STAR, star_matrix(v), as_vector(v))
 
 
 def tree_summand(tree: WeightedTree) -> Summand:
@@ -156,3 +159,27 @@ def verify_matrices(m: Matrix, matrices: Sequence[Matrix], notion: str) -> Verif
 def verify(m: Matrix, decomposition: Decomposition) -> VerificationReport:
     """Membership of every summand plus exact tropical-sum equality."""
     return verify_matrices(m, decomposition.matrices(), decomposition.notion)
+
+
+def certify(m: Matrix, decomposition: Decomposition) -> Decomposition:
+    """The decomposition itself once `verify` accepts it; else CertificateError."""
+    report = verify(m, decomposition)
+    if not report:
+        raise CertificateError(f"decomposition fails verification: {report.failure}")
+    return decomposition
+
+
+def verified_padded(
+    m: Matrix, build: Callable[[Fraction], Decomposition], c: Fraction
+) -> Decomposition:
+    """The first of build(c), build(2c), build(4c), ... that verifies.
+
+    Constructions that need a "sufficiently large" padding constant turn
+    the existence argument behind them into an algorithm this way.
+    """
+    for _ in range(PADDING_RETRIES):
+        dec = build(c)
+        if verify(m, dec):
+            return dec
+        c *= 2
+    raise ConstructionError("construction kept failing as the padding constant grew")

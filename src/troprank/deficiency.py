@@ -13,11 +13,10 @@ forcing infinite rank) or two.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .core import DissimilarityMatrix, Matrix, Position, SymmetricMatrix
+from .core import INFINITE, DissimilarityMatrix, Matrix, Position, SymmetricMatrix
 from .membership import (
     PLUECKER,
     STAR_TREE,
@@ -26,8 +25,6 @@ from .membership import (
     basis_for,
     vanishes_at,
 )
-
-INFINITE = math.inf
 
 
 @dataclass(frozen=True)
@@ -41,9 +38,6 @@ class DeficiencyHypergraph:
 
     def graph_edges(self) -> set[frozenset[Position]]:
         return {e for e in self.hyperedges if len(e) == 2}
-
-    def degree(self, v: Position) -> int:
-        return sum(1 for e in self.graph_edges() if v in e)
 
     def is_empty(self) -> bool:
         return not self.hyperedges

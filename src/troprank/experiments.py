@@ -5,6 +5,8 @@ each run reports what it saw.
   reaches 7, which would settle whether the n-3 bound is tight at n=10.
 * submatrix_conjecture: samples 7x7 matrices and compares "tree rank <= 2"
   with "every 6x6 principal submatrix has tree rank <= 2".
+* solid_cover_weakening_flag: compares the 0/1 star tree cover answer
+  with the exact solver where no solid cover exists.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import DissimilarityMatrix, principal_submatrix
-from .decomposition import TREE
+from .covers import star_tree_rank_01
+from .decomposition import STAR, TREE
 from .deficiency import build_deficiency, chromatic_number
 from .membership import PLUECKER
 from .rank import exact_rank
@@ -70,11 +73,11 @@ class SubmatrixConjectureReport:
         }
 
 
-def _tree_rank_at_most_2(m: DissimilarityMatrix) -> Optional[bool]:
+def _tree_rank_at_most_2(m: DissimilarityMatrix) -> bool:
+    # With budget 2 an interval always has lower >= 3: the search covers
+    # every r <= 2, or the chromatic bound is already >= 3.
     result = exact_rank(m, TREE, budget=2)
-    if result.status == "interval":
-        return False if result.lower > 2 else None
-    return result.value <= 2
+    return result.status == "finite" and result.value <= 2
 
 
 def submatrix_conjecture(trials: int, seed: int) -> SubmatrixConjectureReport:
@@ -96,6 +99,30 @@ def submatrix_conjecture(trials: int, seed: int) -> SubmatrixConjectureReport:
             le2 += 1
         if whole == subs_ok:
             agree += 1
-        if subs_ok and whole is False:
+        if subs_ok and not whole:
             counter += 1
     return SubmatrixConjectureReport(trials, le2, agree, counter)
+
+
+def solid_cover_weakening_flag(m: DissimilarityMatrix) -> Optional[dict]:
+    """Compare the cover answer with the exact solver (open question).
+
+    The cover computation returns r+1 whenever no solid size-r cover
+    exists, but that direction is not known to be forced.  When the exact
+    solver certifies rank r anyway, the instance would show the solid
+    condition can be weakened; it is reported rather than asserted away.
+    Returns None when the two answers agree, else a description of the
+    discrepancy.  Exact search only runs at the solver's scale.
+    """
+    cover_result = star_tree_rank_01(m)
+    if cover_result.solid:
+        return None
+    exact = exact_rank(m, STAR)
+    if exact.value == cover_result.value:
+        return None
+    return {
+        "matrix": [[None if x is None else str(x) for x in row] for row in m.to_rows()],
+        "cover_bound": cover_result.value,
+        "exact_rank": exact.value,
+        "cover_size": cover_result.cover_size,
+    }

@@ -12,6 +12,7 @@ from importlib import resources
 from typing import Optional, Union
 
 from .core import DissimilarityMatrix, SymmetricMatrix
+from .rank import block_matrix
 
 # A paired 4x4 example whose symmetric, star tree and tree ranks are 4, 2
 # and 1: zeroes split {1,2} from {3,4} and the two ones sit inside the
@@ -98,8 +99,6 @@ def tr6_blocks(copies: int) -> DissimilarityMatrix:
     The deficiency graph contains the block copies joined completely, so
     the chromatic bound (and hence the tree rank) is at least 6 * copies.
     """
-    from .rank import block_matrix
-
     return block_matrix(tr6_matrix(), copies, 10)
 
 

@@ -18,7 +18,6 @@ from .core import (
     DissimilarityMatrix,
     Matrix,
     SymmetricMatrix,
-    format_rational,
     frac,
 )
 
@@ -86,7 +85,7 @@ def parse_matrix(text: str) -> Matrix:
 def serialize_matrix(m: Matrix) -> str:
     lines = [f"{m.kind} {m.n}"]
     for row in m.to_rows():
-        lines.append(" ".join("*" if x is None else format_rational(x) for x in row))
+        lines.append(" ".join("*" if x is None else str(x) for x in row))
     return "\n".join(lines) + "\n"
 
 
@@ -94,7 +93,3 @@ def load_matrix(path: str) -> Matrix:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_matrix(handle.read())
 
-
-def save_matrix(path: str, m: Matrix) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_matrix(m))

@@ -22,7 +22,7 @@ from .core import (
     Position,
     SymmetricMatrix,
     frac,
-    is_rank_one,
+    rank_one_generator,
     star_generator,
 )
 from .trees import four_point_violation, realize_tree  # noqa: F401  (re-exported)
@@ -166,7 +166,11 @@ def basis_for(name: str, n: int) -> list[TropicalPolynomial]:
 
 def is_rank1_symmetric(m: SymmetricMatrix) -> bool:
     """True when every 2x2 minor vanishes; equivalently m = v^T (+) v."""
-    return is_rank_one(m)
+    try:
+        rank_one_generator(m)
+    except ValueError:
+        return False
+    return True
 
 
 def is_star_tree(m: DissimilarityMatrix) -> bool:

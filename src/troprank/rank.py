@@ -1,4 +1,16 @@
-"""Exact rank computation and constructive upper-bound decompositions.
+"""Rank computation: method dispatch, the exact solver, and the tree upper
+bound that needs the 5x5 classifier.
+
+Layers, bottom up: `upper` builds the constructive upper bounds;
+`small_cases` (3x3 and 5x5 closed forms) and `covers` (0/1 cover
+formulas) build on it; this module sits on top.  `compute_rank` is the
+one entry point with a method choice:
+
+* ``auto``: a closed form (3x3 symmetric, 5x5 star tree and tree), else
+  the cover formula for a 0/1 matrix, else `exact_rank`;
+* ``exact``: `exact_rank`, always;
+* ``bounds``: the chromatic lower bound and the constructive upper bound,
+  with no search.
 
 The exact solver realizes the secant-set definition directly: every matrix
 position must be attained by some summand, so it searches assignments of
@@ -19,10 +31,6 @@ everywhere else.  Slot feasibility is decided exactly:
 Search slots must stay independent in the deficiency graph (a slot holding
 both ends of a deficiency edge is infeasible), which is also where the
 certified chromatic lower bound comes from.
-
-Constructions that need a "sufficiently large" padding constant verify the
-result and retry with a doubled constant; the retry turns the existence
-arguments behind the constructions into algorithms.
 """
 
 from __future__ import annotations
@@ -32,28 +40,29 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .core import (
+    INFINITE,
     DissimilarityMatrix,
     Matrix,
     Position,
     SymmetricMatrix,
     frac,
-    pad_generator,
-    principal_submatrix,
     star_generator,
 )
-from .decomposition import (
+from .decomposition import (  # noqa: F401  (the errors are re-exported)
+    CertificateError,
+    ConstructionError,
     Decomposition,
     NOTIONS,
     STAR,
     SYM,
     TREE,
+    certify,
     rank1_summand,
     star_summand,
     tree_summand,
-    verify,
 )
 from .deficiency import (
     DeficiencyHypergraph,
@@ -61,18 +70,19 @@ from .deficiency import (
     optimal_coloring,
 )
 from .exactlp import TwoVarSystem, solve_linear_feasibility
-from .membership import PLUECKER, STAR_TREE, SYMMETRIC_MINORS, pfaffian_minimizers
-from .trees import WeightedTree, embed_tree_block, realize_tree
+from .membership import PLUECKER, STAR_TREE, SYMMETRIC_MINORS, is_star_tree, is_tree_matrix
+from .small_cases import star5_rank2_decompose, star5_rank2_test, sym3_rank, tree5_rank
+from .trees import WeightedTree, realize_tree
+from .upper import (  # noqa: F401  (re-exported)
+    _upper_for_search,
+    finiteness_violation,
+    normalize_diagonal,
+    star_upper_decomposition,
+    symmetric_rank_finite,
+    symmetric_upper_decomposition,
+)
 
-INFINITE = math.inf
-
-
-class ConstructionError(RuntimeError):
-    """A padded construction failed verification at every retry scale."""
-
-
-class CertificateError(RuntimeError):
-    """A computed answer failed the check that certifies it."""
+METHODS = ("auto", "exact", "bounds")
 
 
 def basis_for_notion(notion: str) -> str:
@@ -85,288 +95,24 @@ def basis_for_notion(notion: str) -> str:
     raise ValueError(f"unknown rank notion {notion!r}; expected one of {NOTIONS}")
 
 
-def finiteness_violation(m: SymmetricMatrix) -> Optional[Position]:
-    """A pair with M_ii + M_jj > 2 M_ij, which forces infinite rank."""
-    for i in range(1, m.n + 1):
-        for j in range(i + 1, m.n + 1):
-            if m[(i, i)] + m[(j, j)] > 2 * m[(i, j)]:
-                return (i, j)
-    return None
-
-
-def symmetric_rank_finite(m: SymmetricMatrix) -> bool:
-    return finiteness_violation(m) is None
-
-
-def normalize_diagonal(m: SymmetricMatrix) -> tuple[SymmetricMatrix, tuple[Fraction, ...]]:
-    """Zero out the diagonal: M'_ij = M_ij - (M_ii + M_jj)/2.
-
-    Rank is unaffected; a decomposition of M' pulls back by adding the
-    offsets to each generator coordinate.
-    """
-    offsets = tuple(m[(i, i)] / 2 for i in range(1, m.n + 1))
-    normalized = SymmetricMatrix.from_function(
-        m.n, lambda i, j: m[(i, j)] - offsets[i - 1] - offsets[j - 1]
-    )
-    return normalized, offsets
-
-
-def _verified_padded(
-    m: Matrix, build: Callable[[Fraction], Decomposition], retries: int = 40
-) -> Decomposition:
-    c = 1 + m.max_abs_entry()
-    for _ in range(retries):
-        dec = build(c)
-        if verify(m, dec):
-            return dec
-        c *= 2
-    raise ConstructionError("construction kept failing as the padding constant grew")
-
-
-# --- symmetric upper bound -------------------------------------------------
-
-
-def symmetric_upper_decomposition(m: SymmetricMatrix) -> Decomposition:
-    """At most max(n, floor(n^2/4)) rank-one summands for finite-rank input.
-
-    Inductive construction: split off two rows through a minimal
-    off-diagonal entry, recurse on the rest allowing one relaxed diagonal
-    entry, and patch with the displayed two-row blocks.
-    """
-    violation = finiteness_violation(m)
-    if violation is not None:
-        raise ValueError(f"infinite rank: entry pair {violation} violates finiteness")
-    normalized, offsets = normalize_diagonal(m)
-
-    def build(c: Fraction) -> Decomposition:
-        partials = _sym_exact(normalized, tuple(range(1, m.n + 1)), c)
-        summands = []
-        for partial in partials:
-            gen = pad_generator(partial, m.n, c)
-            summands.append(
-                rank1_summand([gen[i] + offsets[i] for i in range(m.n)])
-            )
-        return Decomposition(SYM, tuple(summands))
-
-    dec = _verified_padded(m, build)
-    assert len(dec) <= max(m.n, m.n * m.n // 4)
-    return dec
-
-
-def _offdiag_pairs(idx: Sequence[int]):
-    return itertools.combinations(idx, 2)
-
-
-def _sym_exact(m0, idx: tuple[int, ...], c) -> list[dict[int, Fraction]]:
-    k = len(idx)
-    if k == 1:
-        return [{idx[0]: Fraction(0)}]
-    if k == 2:
-        a, b = idx
-        v = m0[(a, b)]
-        return [{a: Fraction(0), b: v}, {a: v, b: Fraction(0)}]
-    if k == 3:
-        x, y, z = _sym_frame3(m0, idx, forbid_first=False)
-        return [
-            {x: Fraction(0), y: m0[(x, y)], z: m0[(x, z)]},
-            {y: Fraction(0), z: m0[(y, z)]},
-            {z: Fraction(0)},
-        ]
-    return _sym_split_step(m0, idx, c)
-
-
-def _sym_relaxed(m0, idx: tuple[int, ...], c) -> tuple[list[dict[int, Fraction]], Optional[int]]:
-    """Decomposition matching m0 on idx except one raised diagonal entry.
-
-    The relaxed coordinate is never idx[0]; the caller's patch blocks fix
-    diagonals everywhere except there.
-    """
-    k = len(idx)
-    if k == 2:
-        a, b = idx
-        return [{a: Fraction(0), b: m0[(a, b)]}], b
-    if k == 3:
-        x, y, z = _sym_frame3(m0, idx, forbid_first=True)
-        return (
-            [
-                {x: Fraction(0), y: m0[(x, y)], z: m0[(x, z)]},
-                {y: Fraction(0), z: m0[(y, z)]},
-            ],
-            z,
-        )
-    return _sym_split_step(m0, idx, c), None
-
-
-def _sym_frame3(m0, idx: tuple[int, ...], forbid_first: bool) -> tuple[int, int, int]:
-    # Need a frame (x, y, z) with M_xy >= M_yz; when the third slot will be
-    # relaxed it must avoid idx[0].  Such a frame always exists.
-    for x, y, z in itertools.permutations(idx):
-        if forbid_first and z == idx[0]:
-            continue
-        if m0[(x, y)] >= m0[(y, z)]:
-            return x, y, z
-    raise AssertionError("no admissible three-element frame")
-
-
-def _sym_split_step(m0, idx: tuple[int, ...], c) -> list[dict[int, Fraction]]:
-    a, b = min(_offdiag_pairs(idx), key=lambda p: (m0[p], p))
-    rest = tuple(t for t in idx if t not in (a, b))
-    head = rest[0]
-    if m0[(a, head)] < m0[(b, head)]:
-        a, b = b, a
-    sub, relaxed = _sym_relaxed(m0, rest, c)
-    assert relaxed is None or relaxed != head
-    out = list(sub)
-    for i in rest[1:]:
-        out.append({a: m0[(a, i)], b: m0[(b, i)], i: Fraction(0)})
-    out.append({a: Fraction(0), b: m0[(a, b)], head: m0[(a, head)]})
-    out.append({b: Fraction(0), head: m0[(b, head)]})
-    return out
-
-
-# --- star tree upper bound -------------------------------------------------
-
-
-def star_upper_decomposition(m: DissimilarityMatrix) -> Decomposition:
-    """At most n-2 star summands: peel the last index with one fresh star."""
-
-    def build(c: Fraction) -> Decomposition:
-        return Decomposition(
-            STAR, tuple(star_summand(v) for v in _star_vectors(m, c))
-        )
-
-    dec = _verified_padded(m, build)
-    assert len(dec) <= m.n - 2
-    return dec
-
-
-def _star_vectors(m: DissimilarityMatrix, c: Fraction) -> list[tuple[Fraction, ...]]:
-    if m.n == 3:
-        return [star_generator(m)]
-    sub = principal_submatrix(m, range(1, m.n))
-    inner = _star_vectors(sub, c)
-    extended = [v + (max(c / 2, c - min(v)),) for v in inner]
-    last = tuple(m[(i, m.n)] + c for i in range(1, m.n)) + (-c,)
-    return extended + [last]
-
-
-# --- tree upper bound ------------------------------------------------------
-
-
 def tree_upper_decomposition(m: DissimilarityMatrix) -> Decomposition:
     """Tree decompositions within the known worst-case sizes per n.
 
-    n = 3: one summand.  n = 4, 5: realize directly when the four-point
-    condition already holds, else the two-term classifier (n = 5) or the
-    star construction.  n = 6: always the three-block matching split.
-    n >= 7: peel indices down to the leading 6x6 block.
+    One summand whenever the four-point condition already holds (n != 6);
+    n = 5: the closed form's certificate (two trees, or three stars);
+    otherwise the search's upper bound: the star construction for n = 4,
+    the three-block matching split for n = 6 (always), and the peel to
+    the leading 6x6 block for n >= 7.
     """
     n = m.n
-    from .membership import is_tree_matrix
-
-    if n == 3:
+    if n != 6 and is_tree_matrix(m):
         return Decomposition(TREE, (tree_summand(realize_tree(m)),))
-    if n in (4, 5) and is_tree_matrix(m):
-        return Decomposition(TREE, (tree_summand(realize_tree(m)),))
-    if n == 4:
-        return _tree_from_star(m)
     if n == 5:
-        from .small_cases import tree5_rank
-
-        outcome = tree5_rank(m)
-        if outcome.value == 2 and outcome.decomposition is not None:
-            return outcome.decomposition
-        return _tree_from_star(m)
-    if n == 6:
-        dec = _verified_padded(m, lambda c: _tree6_decomposition(m, c))
-        assert len(dec) == 3
-        return dec
-    if is_tree_matrix(m):
-        return Decomposition(TREE, (tree_summand(realize_tree(m)),))
-    dec = _verified_padded(m, lambda c: _tree_peel_decomposition(m, c))
-    assert len(dec) <= max(1, n - 3)
+        return tree5_rank(m).decomposition
+    dec = _upper_for_search(m, TREE)
+    if n >= 6:
+        assert len(dec) == 3 if n == 6 else len(dec) <= n - 3
     return dec
-
-
-def _tree_from_star(m: DissimilarityMatrix) -> Decomposition:
-    star = star_upper_decomposition(m)
-    return Decomposition(TREE, star.summands)
-
-
-def _tree6_decomposition(m: DissimilarityMatrix, c: Fraction) -> Decomposition:
-    """Three tree summands for any 6x6 input, split along a minimal matching.
-
-    Relabel so the minimal perfect matching is {12, 34, 56}; each block
-    keeps the matrix entries it is responsible for and closes its fourth
-    pairing with the smaller of the two alternatives, which the matching
-    minimality makes dominant.
-    """
-    matching = sorted(pfaffian_minimizers(m))[0]
-    order: list[int] = [v for pair in sorted(matching) for v in pair]
-    image = [0] * 6
-    for slot, vertex in enumerate(order, start=1):
-        image[vertex - 1] = slot
-    relabeled = DissimilarityMatrix.from_function(
-        6, lambda i, j: m[(order[i - 1], order[j - 1])]
-    )
-    r = relabeled
-    x1 = min(r[(1, 3)] + r[(2, 4)], r[(1, 4)] + r[(2, 3)]) - r[(1, 2)]
-    x2 = min(r[(1, 5)] + r[(2, 6)], r[(1, 6)] + r[(2, 5)]) - r[(5, 6)]
-    x3 = min(r[(3, 5)] + r[(4, 6)], r[(3, 6)] + r[(4, 5)]) - r[(3, 4)]
-    block_a = DissimilarityMatrix.from_rows(
-        [
-            [None, r[(1, 2)], r[(1, 3)], r[(1, 4)]],
-            [r[(1, 2)], None, r[(2, 3)], r[(2, 4)]],
-            [r[(1, 3)], r[(2, 3)], None, x1],
-            [r[(1, 4)], r[(2, 4)], x1, None],
-        ]
-    )
-    block_b = DissimilarityMatrix.from_rows(
-        [
-            [None, x2, r[(1, 5)], r[(1, 6)]],
-            [x2, None, r[(2, 5)], r[(2, 6)]],
-            [r[(1, 5)], r[(2, 5)], None, r[(5, 6)]],
-            [r[(1, 6)], r[(2, 6)], r[(5, 6)], None],
-        ]
-    )
-    block_c = DissimilarityMatrix.from_rows(
-        [
-            [None, r[(3, 4)], r[(3, 5)], r[(3, 6)]],
-            [r[(3, 4)], None, r[(4, 5)], r[(4, 6)]],
-            [r[(3, 5)], r[(4, 5)], None, x3],
-            [r[(3, 6)], r[(4, 6)], x3, None],
-        ]
-    )
-    summands = []
-    for block, slots in (
-        (block_a, (1, 2, 3, 4)),
-        (block_b, (1, 2, 5, 6)),
-        (block_c, (3, 4, 5, 6)),
-    ):
-        tree = embed_tree_block(block, slots, 6, c)
-        # Undo the relabeling: slot v carries original leaf order[v-1].
-        tree = tree.relabelled_leaves({v: order[v - 1] for v in range(1, 7)}, 6)
-        summands.append(tree_summand(tree))
-    return Decomposition(TREE, tuple(summands))
-
-
-def _tree_peel_decomposition(m: DissimilarityMatrix, c: Fraction) -> Decomposition:
-    """Reduce to the leading 6x6 block, one star summand per peeled index."""
-    n = m.n
-    base = principal_submatrix(m, range(1, 7))
-    base_dec = _verified_padded(base, lambda cc: _tree6_decomposition(base, cc))
-    summands = []
-    for s in base_dec.summands:
-        assert isinstance(s.generator, WeightedTree)
-        tree = embed_tree_block(s.matrix, (1, 2, 3, 4, 5, 6), n, c)
-        summands.append(tree_summand(tree))
-    for i in range(7, n + 1):
-        vec = [c + m[(i, j)] if j != i else -c for j in range(1, n + 1)]
-        summands.append(star_summand(vec))
-    return Decomposition(TREE, tuple(summands))
-
-
-# --- the exact solver ------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -414,18 +160,131 @@ class RankResult:
         return out
 
 
-def _upper_for_search(m: Matrix, notion: str) -> Decomposition:
+def _infinite_result(notion: str, witness: Position) -> RankResult:
+    return RankResult(
+        notion,
+        "infinite",
+        INFINITE,
+        INFINITE,
+        INFINITE,
+        INFINITE,
+        {"type": "finiteness-violation", "pair": list(witness)},
+        infinite_witness=witness,
+    )
+
+
+def _finite_result(
+    notion: str, value: int, chi: int, dec: Optional[Decomposition], certificate: dict
+) -> RankResult:
+    return RankResult(notion, "finite", value, value, value, chi, certificate, dec)
+
+
+def compute_rank(
+    m: Matrix, notion: str, method: str = "auto", budget: Optional[int] = None
+) -> RankResult:
+    """The rank of m under `notion` ("sym", "star" or "tree"), certified.
+
+    `method` is "auto", "exact" or "bounds" (see the module docstring).
+    `budget` is the largest rank the search tries; past it the answer is
+    an interval.  The closed forms and cover formulas ignore it.
+    """
+    _check_space(m, notion)
+    if method == "exact":
+        return exact_rank(m, notion, budget)
+    if method == "bounds":
+        return _bounds_rank(m, notion)
+    if method != "auto":
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    result = _closed_form_rank(m, notion)
+    if result is None:
+        result = exact_rank(m, notion, budget)
+    return result
+
+
+def _check_space(m: Matrix, notion: str) -> None:
+    if notion not in NOTIONS:
+        raise ValueError(f"unknown rank notion {notion!r}")
+    if notion == SYM and not isinstance(m, SymmetricMatrix):
+        raise TypeError("symmetric rank applies to symmetric matrices")
+    if notion in (STAR, TREE) and not isinstance(m, DissimilarityMatrix):
+        raise TypeError(f"{notion} rank applies to dissimilarity matrices")
+
+
+def _closed_form_rank(m: Matrix, notion: str) -> Optional[RankResult]:
+    """The closed forms for n = 3 (sym) and n = 5 (star, tree), then the
+    0/1 cover formulas; None when neither applies."""
+    closed = {"type": "closed-form"}
+    if notion == SYM and m.n == 3:
+        outcome = sym3_rank(m)
+        if outcome.value == INFINITE:
+            return _infinite_result(notion, outcome.infinite_witness)
+        chi = _chromatic(m, notion)[1]
+        return _finite_result(notion, outcome.value, chi, outcome.decomposition, closed)
+    if notion == STAR and m.n == 5:
+        chi = _chromatic(m, notion)[1]
+        if is_star_tree(m):
+            dec = Decomposition(STAR, (star_summand(star_generator(m)),))
+            return _finite_result(notion, 1, chi, dec, closed)
+        ok, witness = star5_rank2_test(m)
+        if ok:
+            return _finite_result(notion, 2, chi, star5_rank2_decompose(m, witness), closed)
+        return _finite_result(notion, 3, chi, star_upper_decomposition(m), closed)
+    if notion == TREE and m.n == 5:
+        outcome = tree5_rank(m)
+        chi = _chromatic(m, notion)[1]
+        return _finite_result(notion, outcome.value, chi, outcome.decomposition, closed)
+    if all(v in (0, 1) for _, v in m.items()):
+        return _zero_one_rank(m, notion)
+    return None
+
+
+def _zero_one_rank(m: Matrix, notion: str) -> RankResult:
+    # Imported here so that `import troprank.cli` does not load the cover
+    # module, which takes about 13 ms to import without bytecode caches.
+    from .covers import star_tree_rank_01, symmetric_rank_01, tree_rank_01
+
+    cover_rank = {SYM: symmetric_rank_01, STAR: star_tree_rank_01, TREE: tree_rank_01}[notion]
+    outcome = cover_rank(m)
+    if outcome.value == INFINITE:
+        return _infinite_result(notion, outcome.infinite_witness)
+    certificate = {"type": "covers", "cover": [el.to_json_dict() for el in outcome.cover]}
+    if outcome.solid is not None:
+        certificate["solid"] = outcome.solid
+    chi = _chromatic(m, notion)[1]
+    return _finite_result(notion, outcome.value, chi, outcome.decomposition, certificate)
+
+
+def _bounds_rank(m: Matrix, notion: str) -> RankResult:
+    """The chromatic lower bound and the constructive upper bound."""
+    front = _lower_and_upper(m, notion)
+    if isinstance(front, RankResult):
+        return front
+    _, chi, upper = front
+    if chi >= len(upper):
+        return _finite_result(notion, len(upper), chi, upper, {"type": "bounds"})
+    certificate = {"type": "chromatic", "value": chi}
+    return RankResult(notion, "interval", None, chi, len(upper), chi, certificate, upper)
+
+
+def _chromatic(m: Matrix, notion: str) -> tuple[DeficiencyHypergraph, int]:
+    """The deficiency graph of m and its chromatic number, a rank lower bound."""
+    hypergraph = build_deficiency(m, basis_for_notion(notion))
+    chi, _ = optimal_coloring(hypergraph)
+    if chi == INFINITE:
+        raise CertificateError("the deficiency graph of a finite-rank input has a loop")
+    return hypergraph, int(chi)
+
+
+def _lower_and_upper(
+    m: Matrix, notion: str
+) -> Union[RankResult, tuple[DeficiencyHypergraph, int, Decomposition]]:
+    """The infinite-rank result, or (deficiency graph, χ, upper bound)."""
     if notion == SYM:
-        return symmetric_upper_decomposition(m)
-    if notion == STAR:
-        return star_upper_decomposition(m)
-    # Tree: stay independent of the small-case classifiers; star summands
-    # are tree summands, and from n = 6 the matching split applies.
-    if m.n <= 5:
-        return _tree_from_star(m)
-    if m.n == 6:
-        return _verified_padded(m, lambda c: _tree6_decomposition(m, c))
-    return _verified_padded(m, lambda c: _tree_peel_decomposition(m, c))
+        violation = finiteness_violation(m)
+        if violation is not None:
+            return _infinite_result(notion, violation)
+    hypergraph, chi = _chromatic(m, notion)
+    return hypergraph, chi, _upper_for_search(m, notion)
 
 
 def exact_rank(
@@ -441,33 +300,11 @@ def exact_rank(
     when `search_from_one`), stopping at the constructive upper bound,
     which is itself a verified decomposition.  Intended scale: n <= 7.
     """
-    if notion not in NOTIONS:
-        raise ValueError(f"unknown rank notion {notion!r}")
-    if notion == SYM and not isinstance(m, SymmetricMatrix):
-        raise TypeError("symmetric rank applies to symmetric matrices")
-    if notion in (STAR, TREE) and not isinstance(m, DissimilarityMatrix):
-        raise TypeError(f"{notion} rank applies to dissimilarity matrices")
-
-    if notion == SYM:
-        violation = finiteness_violation(m)
-        if violation is not None:
-            return RankResult(
-                notion,
-                "infinite",
-                INFINITE,
-                INFINITE,
-                INFINITE,
-                INFINITE,
-                {"type": "finiteness-violation", "pair": list(violation)},
-                infinite_witness=violation,
-            )
-
-    hypergraph = build_deficiency(m, basis_for_notion(notion))
-    chi, _ = optimal_coloring(hypergraph)
-    assert chi != INFINITE
-    chi = int(chi)
-
-    upper_dec = _upper_for_search(m, notion)
+    _check_space(m, notion)
+    front = _lower_and_upper(m, notion)
+    if isinstance(front, RankResult):
+        return front
+    hypergraph, chi, upper_dec = front
     ub = len(upper_dec)
     low = 1 if search_from_one else max(1, chi)
     budget_eff = ub if budget is None else budget
@@ -477,17 +314,13 @@ def exact_rank(
     for r in range(low, min(ub, budget_eff + 1)):
         witnesses = searcher.search(r)
         if witnesses is not None:
-            dec = _decomposition_from_witnesses(m, notion, witnesses)
-            report = verify(m, dec)
-            if not report:
-                raise CertificateError(f"searched decomposition fails verification: {report}")
-            cert = _lower_certificate(chi, r, searched_through)
-            return RankResult(notion, "finite", r, r, r, chi, cert, dec)
+            dec = certify(m, _decomposition_from_witnesses(m, notion, witnesses))
+            return _finite_result(notion, r, chi, dec, _lower_certificate(chi, r, searched_through))
         searched_through = r
     lower_proved = max(chi, searched_through + 1)
     if ub <= budget_eff or lower_proved >= ub:
         cert = _lower_certificate(chi, ub, searched_through)
-        return RankResult(notion, "finite", ub, ub, ub, chi, cert, upper_dec)
+        return _finite_result(notion, ub, chi, upper_dec, cert)
     return RankResult(
         notion,
         "interval",

@@ -18,9 +18,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (
+    INFINITE,
     DissimilarityMatrix,
     Position,
     SymmetricMatrix,
+    _pad_value,
     apply_permutation,
     pad_generator,
     principal_submatrix,
@@ -31,10 +33,11 @@ from .decomposition import (
     STAR,
     SYM,
     TREE,
+    certify,
     rank1_summand,
     star_summand,
     tree_summand,
-    verify,
+    verified_padded,
 )
 from .membership import (
     TropicalMonomial,
@@ -44,15 +47,13 @@ from .membership import (
     is_tropically_singular_3x3,
 )
 from .deficiency import FIVE_CYCLE, classify_petersen
-from .rank import (
-    ConstructionError,
-    INFINITE,
+from .trees import embed_tree_block, realize_tree
+from .upper import (
     finiteness_violation,
     normalize_diagonal,
     star_upper_decomposition,
     symmetric_upper_decomposition,
 )
-from .trees import embed_tree_block, realize_tree
 
 PENTAGON = "pentagon"
 TRIANGLE = "triangle"
@@ -122,14 +123,6 @@ class TermEvaluation:
         lo = self.minimum
         return [t for t, v in zip(self.terms, self.values) if v == lo]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "terms": [
-                {"term": t.label(), "value": str(v), "minimal": v == self.minimum}
-                for t, v in zip(self.terms, self.values)
-            ]
-        }
-
 
 def evaluate_pentad(m: DissimilarityMatrix) -> TermEvaluation:
     terms = tuple(pentad_terms())
@@ -165,9 +158,7 @@ def sym3_rank(m: SymmetricMatrix) -> Sym3Result:
         return Sym3Result(INFINITE, None, violation)
     if is_rank1_symmetric(m):
         gen = tuple(m[(i, i)] / 2 for i in (1, 2, 3))
-        dec = Decomposition(SYM, (rank1_summand(gen),))
-        assert verify(m, dec)
-        return Sym3Result(1, dec)
+        return Sym3Result(1, certify(m, Decomposition(SYM, (rank1_summand(gen),))))
     if is_tropically_singular_3x3(m):
         dec = _sym3_two_term(m)
         return Sym3Result(2, dec)
@@ -189,23 +180,18 @@ def _sym3_two_term(m: SymmetricMatrix) -> Decomposition:
     assert pair is not None, "singular normalized matrix must have a zero entry"
     k = next(v for v in (1, 2, 3) if v not in pair)
     i, j = pair
-    c = 1 + 2 * m.max_abs_entry()
-    for _ in range(40):
+    second = [Fraction(0)] * 3
+    second[i - 1] = normalized[(i, k)]
+    second[j - 1] = normalized[(j, k)]
+
+    def build(c: Fraction) -> Decomposition:
         first = pad_generator({i: Fraction(0), j: Fraction(0)}, 3, c)
-        second = [Fraction(0)] * 3
-        second[i - 1] = normalized[(i, k)]
-        second[j - 1] = normalized[(j, k)]
-        second[k - 1] = Fraction(0)
-        summands = []
-        for gen in (first, tuple(second)):
-            summands.append(
-                rank1_summand([gen[t] + offsets[t] for t in range(3)])
-            )
-        dec = Decomposition(SYM, tuple(summands))
-        if verify(m, dec):
-            return dec
-        c *= 2
-    raise ConstructionError("two-term witness failed at every padding scale")
+        return Decomposition(
+            SYM,
+            tuple(rank1_summand([g + o for g, o in zip(gen, offsets)]) for gen in (first, second)),
+        )
+
+    return verified_padded(m, build, 1 + 2 * m.max_abs_entry())
 
 
 # --- 5x5 star tree ----------------------------------------------------------
@@ -283,9 +269,7 @@ def star5_rank2_decompose(
     assert witness is not None
     if witness.trivial:
         v = star_generator(m)
-        dec = Decomposition(STAR, (star_summand(v), star_summand(v)))
-        assert verify(m, dec)
-        return dec
+        return certify(m, Decomposition(STAR, (star_summand(v), star_summand(v))))
     perm = witness.relabeling
     assert perm is not None
     mm = apply_permutation(m, perm)
@@ -307,20 +291,13 @@ def star5_rank2_decompose(
         mm[(1, 4)] - w1,
         mm[(1, 5)] - w1,
     )
-    c = 1 + 2 * m.max_abs_entry()
-    for _ in range(40):
-        first = u + (max(c / 2, c - min(u)),)
-        dec = Decomposition(
-            STAR,
-            (
-                star_summand(_unpermute_vector(first, perm)),
-                star_summand(_unpermute_vector(w, perm)),
-            ),
-        )
-        if verify(m, dec):
-            return dec
-        c *= 2
-    raise ConstructionError("two-star witness failed at every padding scale")
+    second = star_summand(_unpermute_vector(w, perm))
+
+    def build(c: Fraction) -> Decomposition:
+        first = star_summand(_unpermute_vector(u + (_pad_value(u, c),), perm))
+        return Decomposition(STAR, (first, second))
+
+    return verified_padded(m, build, 1 + 2 * m.max_abs_entry())
 
 
 # --- 5x5 tree ---------------------------------------------------------------
@@ -333,16 +310,6 @@ class Tree5Result:
     five_cycle: Optional[tuple[frozenset[Position], ...]] = None
     triangle: Optional[PolynomialTerm] = None
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"rank": self.value}
-        if self.five_cycle is not None:
-            out["five_cycle"] = [sorted(map(list, e)) for e in self.five_cycle]
-        if self.triangle is not None:
-            out["triangle_term"] = self.triangle.label()
-        if self.decomposition is not None:
-            out["decomposition"] = self.decomposition.to_json_dict()
-        return out
-
 
 def tree5_rank(m: DissimilarityMatrix) -> Tree5Result:
     """Tree rank of a 5x5 matrix: 1, 2 or 3, with certificates.
@@ -354,9 +321,7 @@ def tree5_rank(m: DissimilarityMatrix) -> Tree5Result:
     if m.n != 5:
         raise ValueError("this classifier handles n = 5 only")
     if is_tree_matrix(m):
-        dec = Decomposition(TREE, (tree_summand(realize_tree(m)),))
-        assert verify(m, dec)
-        return Tree5Result(1, dec)
+        return Tree5Result(1, certify(m, Decomposition(TREE, (tree_summand(realize_tree(m)),))))
     evaluation = evaluate_p22(m)
     triangles = [t for t in evaluation.minimizers() if t.kind == TRIANGLE]
     if triangles:
@@ -364,9 +329,7 @@ def tree5_rank(m: DissimilarityMatrix) -> Tree5Result:
         return Tree5Result(2, dec, triangle=triangles[0])
     classification = classify_petersen(m)
     assert classification.tag == FIVE_CYCLE
-    stars = star_upper_decomposition(m)
-    dec = Decomposition(TREE, stars.summands)
-    assert verify(m, dec)
+    dec = certify(m, Decomposition(TREE, star_upper_decomposition(m).summands))
     return Tree5Result(3, dec, five_cycle=tuple(sorted(classification.edges, key=sorted)))
 
 
@@ -413,18 +376,14 @@ def tree5_rank2_decompose(
     for i, img in enumerate(perm_found, start=1):
         inverse[img - 1] = i
     back = {v: inverse[v - 1] for v in range(1, 6)}
-    first_tree = realize_tree(t_rows).relabelled_leaves(back, 5)
+    first = tree_summand(realize_tree(t_rows).relabelled_leaves(back, 5))
     block = principal_submatrix(mm, (3, 4, 5))
-    c = 1 + 2 * m.max_abs_entry()
-    for _ in range(40):
-        second_tree = embed_tree_block(block, (3, 4, 5), 5, c).relabelled_leaves(back, 5)
-        dec = Decomposition(
-            TREE, (tree_summand(first_tree), tree_summand(second_tree))
-        )
-        if verify(m, dec):
-            return dec
-        c *= 2
-    raise ConstructionError("two-tree witness failed at every padding scale")
+
+    def build(c: Fraction) -> Decomposition:
+        second = embed_tree_block(block, (3, 4, 5), 5, c).relabelled_leaves(back, 5)
+        return Decomposition(TREE, (first, tree_summand(second)))
+
+    return verified_padded(m, build, 1 + 2 * m.max_abs_entry())
 
 
 def _triangle_complement_matrix(mm: DissimilarityMatrix) -> DissimilarityMatrix:

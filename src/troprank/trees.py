@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import DissimilarityMatrix, format_decimal_or_ratio, frac
+from .core import DissimilarityMatrix, _pad_value, format_decimal_or_ratio, frac
 
 
 class NotTreeMatrixError(ValueError):
@@ -186,16 +186,6 @@ def _add_edge(adj: dict[int, dict[int, Fraction]], u: int, v: int, w: Fraction) 
     adj.setdefault(v, {})[u] = w
 
 
-def star_tree(pendants: Sequence[Fraction]) -> WeightedTree:
-    """Star with leaf i at distance pendants[i-1] from the single hub."""
-    n = len(pendants)
-    hub = n + 1
-    adj: dict[int, dict[int, Fraction]] = {}
-    for i, w in enumerate(pendants, start=1):
-        _add_edge(adj, i, hub, frac(w))
-    return WeightedTree(n, adj)
-
-
 def realize_tree(m: DissimilarityMatrix) -> WeightedTree:
     """Build a weighted tree whose leaf distances equal `m` exactly.
 
@@ -313,8 +303,8 @@ def embed_tree_block(
     small = realize_tree(block)
     tree = small.relabelled_leaves({k + 1: idx[k] for k in range(len(idx))}, n)
     anchor_new = next(v for v in tree.vertices() if not tree.is_leaf(v))
-    nearest = min(tree.distances_from(anchor_new)[leaf] for leaf in idx)
-    pendant = max(c / 2, c - nearest)
+    distances = tree.distances_from(anchor_new)
+    pendant = _pad_value([distances[leaf] for leaf in idx], c)
     for leaf in range(1, n + 1):
         if leaf not in idx:
             _add_edge(tree.adjacency, leaf, anchor_new, pendant)
@@ -329,24 +319,3 @@ def extend_tree(m: DissimilarityMatrix, n: int, c) -> DissimilarityMatrix:
     tree = embed_tree_block(m, list(range(1, m.n + 1)), n, c)
     return tree.leaf_distance_matrix()
 
-
-def extend_tree_with_witness(
-    m: DissimilarityMatrix, n: int, c
-) -> tuple[DissimilarityMatrix, WeightedTree]:
-    tree = embed_tree_block(m, list(range(1, m.n + 1)), n, c)
-    return tree.leaf_distance_matrix(), tree
-
-
-def two_leaf_block_tree(i: int, j: int, value, n: int, c) -> WeightedTree:
-    """Tree with distance(i,j) = value and every other distance >= c."""
-    c = frac(c)
-    value = frac(value)
-    hub = n + 1
-    adj: dict[int, dict[int, Fraction]] = {}
-    _add_edge(adj, i, hub, value / 2)
-    _add_edge(adj, j, hub, value / 2)
-    pendant = max(c / 2, c - value / 2)
-    for leaf in range(1, n + 1):
-        if leaf not in (i, j):
-            _add_edge(adj, leaf, hub, pendant)
-    return WeightedTree(n, adj)

@@ -303,7 +303,7 @@ class TestSolidCoverOpenQuestion:
         # The cover bound may return r+1 without a solid cover; the exact
         # solver has never contradicted it.  Any flag here would be a
         # research-grade finding, so the corpus run surfaces them loudly.
-        from troprank.covers import solid_cover_weakening_flag
+        from troprank.experiments import solid_cover_weakening_flag
 
         flags = []
         nonsolid = 0

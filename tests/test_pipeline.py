@@ -1,0 +1,364 @@
+"""The rank pipeline end to end: every route of `rank --method auto`, the
+same inputs under `exact` and `bounds`, and `decompose` with and without
+`--minimize`, pinned by exit code, reported rank and a digest of stdout.
+
+The pins were recorded before method dispatch moved from the CLI into
+`troprank.compute_rank`, so they hold the library to the CLI's old output
+byte for byte.  `compute_rank(...).to_json_dict()` must print the same JSON.
+"""
+
+import ast
+import hashlib
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from troprank import compute_rank
+from troprank.cli import NOTION_ALIASES, main
+from troprank.decomposition import TREE
+from troprank.matrixio import parse_matrix
+from troprank.rank import exact_rank
+
+from conftest import random_dissimilarity
+
+_ = None  # a dissimilarity diagonal
+
+# Each input names the route `auto` takes for it.
+MATRICES = {
+    "sym3-rank1": [[0, 1, 2], [1, 2, 3], [2, 3, 4]],
+    "sym3-rank2": [[2, 4, 3], [4, 1, 2], [3, 2, 3]],
+    "sym3-rank3": [[0, 3, 2], [3, 0, 2], [2, 2, 3]],
+    "sym3-infinite": [[5, 0, 8], [0, 3, 0], [8, 0, 6]],
+    "sym4-infinite": [[6, 9, 7, 7], [9, 4, 6, 4], [7, 6, 0, 9], [7, 4, 9, 5]],
+    "sym4-rational": [[0, "1/2", 1, "3/2"], ["1/2", 0, "5/2", 1], [1, "5/2", 0, 1], ["3/2", 1, 1, 0]],
+    "star5-rank1": [[_, 4, 7, 4, 8], [4, _, 5, 2, 6], [7, 5, _, 5, 9], [4, 2, 5, _, 6], [8, 6, 9, 6, _]],
+    "star5-rank2": [[_, 4, 3, 3, 2], [4, _, 3, 4, 1], [3, 3, _, 3, 0], [3, 4, 3, _, 3], [2, 1, 0, 3, _]],
+    "star5-rank3": [[_, 0, 0, 3, 2], [0, _, 1, 4, 4], [0, 1, _, 1, 0], [3, 4, 1, _, 4], [2, 4, 0, 4, _]],
+    "tree5-rank1": [[_, 2, 0, 1, 3], [2, _, 3, 3, 4], [0, 3, _, 1, 2], [1, 3, 1, _, 3], [3, 4, 2, 3, _]],
+    "tree5-rank2": [[_, 0, 0, 0, 4], [0, _, 2, 4, 1], [0, 2, _, 1, 3], [0, 4, 1, _, 2], [4, 1, 3, 2, _]],
+    "tree5-rank3": [[_, 4, 1, 4, 0], [4, _, 0, 2, 1], [1, 0, _, 4, 4], [4, 2, 4, _, 1], [0, 1, 4, 1, _]],
+    "sym01": [[0, 1, 1, 0, 1], [1, 0, 1, 0, 0], [1, 1, 0, 1, 1], [0, 0, 1, 0, 1], [1, 0, 1, 1, 0]],
+    "sym01-diag": [[0, 1, 0, 1, 1], [1, 0, 1, 1, 1], [0, 1, 0, 1, 1], [1, 1, 1, 1, 1], [1, 1, 1, 1, 1]],
+    "sym01-infinite": [[0, 1, 0, 0, 1], [1, 0, 0, 1, 1], [0, 0, 0, 0, 0], [0, 1, 0, 0, 0], [1, 1, 0, 0, 1]],
+    "star01-solid": [
+        [_, 1, 1, 1, 1, 1], [1, _, 0, 0, 1, 1], [1, 0, _, 1, 0, 0],
+        [1, 0, 1, _, 0, 1], [1, 1, 0, 0, _, 0], [1, 1, 0, 1, 0, _],
+    ],
+    "star01-nonsolid": [
+        [_, 1, 1, 1, 0, 0], [1, _, 1, 0, 1, 1], [1, 1, _, 0, 1, 1],
+        [1, 0, 0, _, 1, 0], [0, 1, 1, 1, _, 1], [0, 1, 1, 0, 1, _],
+    ],
+    "tree01": [
+        [_, 0, 0, 0, 0, 1], [0, _, 1, 1, 1, 0], [0, 1, _, 0, 1, 0],
+        [0, 1, 0, _, 1, 1], [0, 1, 1, 1, _, 1], [1, 0, 0, 1, 1, _],
+    ],
+    "sym6": [
+        [4, 7, 8, 9, 7, 5], [7, 4, 6, 6, 7, 9], [8, 6, 0, 6, 5, 5],
+        [9, 6, 6, 6, 9, 6], [7, 7, 5, 9, 5, 7], [5, 9, 5, 6, 7, 4],
+    ],
+    "tree6": [
+        [_, 5, 5, 3, 1, 2], [5, _, 0, 2, 4, 3], [5, 0, _, 3, 3, 1],
+        [3, 2, 3, _, 3, 3], [1, 4, 3, 3, _, 0], [2, 3, 1, 3, 0, _],
+    ],
+    "star7": [
+        [_, 0, 3, 3, 2, 2, 3], [0, _, 2, 3, 3, 1, 0], [3, 2, _, 3, 2, 3, 1],
+        [3, 3, 3, _, 0, 3, 2], [2, 3, 2, 0, _, 3, 2], [2, 1, 3, 3, 3, _, 3],
+        [3, 0, 1, 2, 2, 3, _],
+    ],
+    "tree7": [
+        [_, 3, 1, 0, 1, 1, 1], [3, _, 2, 2, 3, 1, 3], [1, 2, _, 3, 0, 0, 2],
+        [0, 2, 3, _, 2, 1, 2], [1, 3, 0, 2, _, 0, 1], [1, 1, 0, 1, 0, _, 3],
+        [1, 3, 2, 2, 1, 3, _],
+    ],
+}
+
+NOTIONS_OF = {
+    "sym": ("sym",),
+    "star": ("star", "tree"),
+    "tree": ("tree", "star"),
+}
+
+# (input, notion, extra arguments) -> (exit code, "rank" field, stdout sha256[:16])
+PINS = {
+    'sym3-rank1 sym auto': (0, 1, '7a5a94aa10208a9b'),
+    'sym3-rank1 sym exact': (0, 1, '2f5181daa1cd9440'),
+    'sym3-rank1 sym bounds': (3, None, '577d47221bb21f53'),
+    'sym3-rank2 sym auto': (0, 2, 'd36cc8c81344cc1d'),
+    'sym3-rank2 sym exact': (0, 2, 'f64f55e75226cfc6'),
+    'sym3-rank2 sym bounds': (3, None, '5953b58f96a591d8'),
+    'sym3-rank3 sym auto': (0, 3, '80583b9ab8b7e4ac'),
+    'sym3-rank3 sym exact': (0, 3, '93b385d5eea1201f'),
+    'sym3-rank3 sym bounds': (0, 3, 'a7a8a146882e7f6c'),
+    'sym3-infinite sym auto': (4, 'infinity', 'ca413b18e5318ab6'),
+    'sym3-infinite sym exact': (4, 'infinity', 'ca413b18e5318ab6'),
+    'sym3-infinite sym bounds': (4, 'infinity', 'ca413b18e5318ab6'),
+    'sym4-infinite sym auto': (4, 'infinity', '5b6ecf434a814c33'),
+    'sym4-infinite sym exact': (4, 'infinity', '5b6ecf434a814c33'),
+    'sym4-infinite sym bounds': (4, 'infinity', '5b6ecf434a814c33'),
+    'sym4-rational sym auto': (0, 4, '2948c0cbd5e05551'),
+    'sym4-rational sym exact': (0, 4, '2948c0cbd5e05551'),
+    'sym4-rational sym bounds': (0, 4, '38a82f1fbd9f4fde'),
+    'star5-rank1 star auto': (0, 1, 'ddd3bff25135283c'),
+    'star5-rank1 star exact': (0, 1, 'cc27f3baca720db4'),
+    'star5-rank1 star bounds': (3, None, '82995042532adbd3'),
+    'star5-rank1 tree auto': (0, 1, '8a1084f193e47989'),
+    'star5-rank1 tree exact': (0, 1, '196da7cf2c82f214'),
+    'star5-rank1 tree bounds': (3, None, 'e6a4492685c35422'),
+    'star5-rank2 star auto': (0, 2, '704cdfd085b53471'),
+    'star5-rank2 star exact': (0, 2, 'fbf26ec10eadb5a9'),
+    'star5-rank2 star bounds': (3, None, '98d1a6a2eeee98d4'),
+    'star5-rank2 tree auto': (0, 2, '249127b745ee1563'),
+    'star5-rank2 tree exact': (0, 2, 'f836a5f91ae9c04e'),
+    'star5-rank2 tree bounds': (3, None, '2c874d4f8ae1bc45'),
+    'star5-rank3 star auto': (0, 3, '26c1db1f28c6687b'),
+    'star5-rank3 star exact': (0, 3, '419418ba5b02a1c1'),
+    'star5-rank3 star bounds': (0, 3, 'ee2f9c7ec3d7bc52'),
+    'star5-rank3 tree auto': (0, 2, '2798c6313458637d'),
+    'star5-rank3 tree exact': (0, 2, '562b4656e343d651'),
+    'star5-rank3 tree bounds': (3, None, '5932d7c7f0389277'),
+    'tree5-rank1 tree auto': (0, 1, 'c87749609fb3dde6'),
+    'tree5-rank1 tree exact': (0, 1, 'b9e2eefc11e18114'),
+    'tree5-rank1 tree bounds': (3, None, 'd6df176244e65315'),
+    'tree5-rank1 star auto': (0, 3, '83594c54f3981309'),
+    'tree5-rank1 star exact': (0, 3, 'a0ea93c8c3ddb886'),
+    'tree5-rank1 star bounds': (0, 3, '10a97ab384aca73f'),
+    'tree5-rank2 tree auto': (0, 2, '0babe0241e31f068'),
+    'tree5-rank2 tree exact': (0, 2, 'b1393e67a6197ada'),
+    'tree5-rank2 tree bounds': (3, None, '10a8d60715a080d5'),
+    'tree5-rank2 star auto': (0, 3, 'c7677ea1320a384a'),
+    'tree5-rank2 star exact': (0, 3, 'a55f256f2a4322be'),
+    'tree5-rank2 star bounds': (0, 3, '357ae7f83c6adc52'),
+    'tree5-rank3 tree auto': (0, 3, '69aa00c18783624f'),
+    'tree5-rank3 tree exact': (0, 3, '990323a2a2285397'),
+    'tree5-rank3 tree bounds': (0, 3, 'ce5e2b205d44e39f'),
+    'tree5-rank3 star auto': (0, 3, '82ff20fed0cdafca'),
+    'tree5-rank3 star exact': (0, 3, '2686e5f07a6995cd'),
+    'tree5-rank3 star bounds': (0, 3, 'f70db11581d1da2a'),
+    'sym01 sym auto': (0, 4, 'bc4db2ba0d21d442'),
+    'sym01 sym exact': (0, 4, '3663ade598b751b5'),
+    'sym01 sym bounds': (3, None, 'b8f0cdee03746c70'),
+    'sym01-diag sym auto': (0, 3, '6fbdb510d3c5c9f4'),
+    'sym01-diag sym exact': (0, 3, '273fa7530389c47c'),
+    'sym01-diag sym bounds': (3, None, 'd8335b4965f06894'),
+    'sym01-infinite sym auto': (4, 'infinity', '61029de01fc1ca0e'),
+    'sym01-infinite sym exact': (4, 'infinity', 'c9b0f5d68772f82f'),
+    'sym01-infinite sym bounds': (4, 'infinity', 'c9b0f5d68772f82f'),
+    'star01-solid star auto': (0, 3, '04c6e38c6cffb2d5'),
+    'star01-solid star exact': (0, 3, 'cc6bfe9ef9e1d05b'),
+    'star01-solid star bounds': (3, None, 'fbbd870df0a12a92'),
+    'star01-solid tree auto': (0, 2, '70bab56f1065f006'),
+    'star01-solid tree exact': (0, 2, '472127e797b7022c'),
+    'star01-solid tree bounds': (3, None, '9561da9eab6ab482'),
+    'star01-nonsolid star auto': (0, 3, '5a7a4b9a6b5b9751'),
+    'star01-nonsolid star exact': (0, 3, '96a40f6e7e062e2e'),
+    'star01-nonsolid star bounds': (3, None, 'c28a1ebc76959cbf'),
+    'star01-nonsolid tree auto': (0, 2, 'a671d41f13fddbc7'),
+    'star01-nonsolid tree exact': (0, 2, '0cbec28d4bbd60d1'),
+    'star01-nonsolid tree bounds': (3, None, 'c7ee8daae790a80a'),
+    'tree01 tree auto': (0, 3, '0daec4c11afe1b29'),
+    'tree01 tree exact': (0, 3, '4793ba90d78cb45a'),
+    'tree01 tree bounds': (0, 3, '12d555e9a485d75c'),
+    'tree01 star auto': (0, 3, 'c9501514b0f48bee'),
+    'tree01 star exact': (0, 3, 'd9993c6f094a696a'),
+    'tree01 star bounds': (3, None, 'fdf5ea640d771001'),
+    'sym6 sym auto': (0, 6, '74e15c7971f3664f'),
+    'sym6 sym exact': (0, 6, '74e15c7971f3664f'),
+    'sym6 sym bounds': (3, None, '38b793a26b6a4b1d'),
+    'tree6 tree auto': (0, 3, '7f72eafa32ef4740'),
+    'tree6 tree exact': (0, 3, '7f72eafa32ef4740'),
+    'tree6 tree bounds': (0, 3, '30d705a22204681d'),
+    'tree6 star auto': (0, 3, 'b22f842c124a4aa5'),
+    'tree6 star exact': (0, 3, 'b22f842c124a4aa5'),
+    'tree6 star bounds': (3, None, '4db2a6e794d4563a'),
+    'star7 star auto': (0, 4, '3bfc9a1b48146313'),
+    'star7 star exact': (0, 4, '3bfc9a1b48146313'),
+    'star7 star bounds': (3, None, '0abbf8b0a2fe4dd9'),
+    'star7 tree auto': (0, 3, 'f6bc70a04eb78020'),
+    'star7 tree exact': (0, 3, 'f6bc70a04eb78020'),
+    'star7 tree bounds': (3, None, 'b9c888855220e6e0'),
+    'tree7 tree auto': (0, 3, '06e3e601c1eca0ea'),
+    'tree7 tree exact': (0, 3, '06e3e601c1eca0ea'),
+    'tree7 tree bounds': (3, None, 'a4b6e2468f12a342'),
+    'tree7 star auto': (0, 4, '5c921b4f24ad5850'),
+    'tree7 star exact': (0, 4, '5c921b4f24ad5850'),
+    'tree7 star bounds': (3, None, 'b3f48864cab4f85c'),
+    'star7 star auto --budget 1': (3, None, '0abbf8b0a2fe4dd9'),
+    'star7 star exact --budget 1': (3, None, '0abbf8b0a2fe4dd9'),
+    'tree7 tree auto --budget 1': (3, None, 'a4b6e2468f12a342'),
+    'sym6 sym auto --budget 1': (3, None, '38b793a26b6a4b1d'),
+    'sym6 sym auto --no-certificates': (0, 6, '8cff38ca7dc73fb0'),
+    'star5-rank2 sym auto': (2, '-', 'e3b0c44298fc1c14'),
+    'sym3-rank2 tree bounds': (2, '-', 'e3b0c44298fc1c14'),
+    'sym4-rational sym decompose': (0, '-', 'bdd78a25c56b66b6'),
+    'sym4-rational sym decompose --minimize': (0, '-', 'bdd78a25c56b66b6'),
+    'sym4-infinite sym decompose': (4, '-', '0883747ec21043be'),
+    'sym4-infinite sym decompose --minimize': (4, '-', '0883747ec21043be'),
+    'sym6 sym decompose': (0, '-', '8938bb12cbcf5e28'),
+    'sym6 sym decompose --minimize': (0, '-', '746acc11b8a961dd'),
+    'star5-rank2 star decompose': (0, '-', 'a214d79c3c841ea1'),
+    'star5-rank2 star decompose --minimize': (0, '-', '2d467c3feb7cfa1e'),
+    'star7 star decompose': (0, '-', 'bda441d6e31422bb'),
+    'star7 star decompose --minimize': (0, '-', 'ddb363fc7ba3647a'),
+    'tree5-rank2 tree decompose': (0, '-', 'de0eea3381ca521e'),
+    'tree5-rank2 tree decompose --minimize': (0, '-', 'fc92cda78c4b83d2'),
+    'tree5-rank3 tree decompose': (0, '-', '579a489880feb8bb'),
+    'tree5-rank3 tree decompose --minimize': (0, '-', '579a489880feb8bb'),
+    'tree6 tree decompose': (0, '-', '34812f338947eb77'),
+    'tree6 tree decompose --minimize': (0, '-', '34812f338947eb77'),
+    'tree7 tree decompose': (0, '-', '3b30253ef178faec'),
+    'tree7 tree decompose --minimize': (0, '-', '49b201836336b81c'),
+}
+
+RUNS = [
+    (name, notion, method, ())
+    for name in MATRICES
+    for notion in NOTIONS_OF[name.split("-")[0].rstrip("0123456789")]
+    for method in ("auto", "exact", "bounds")
+] + [
+    ("star7", "star", "auto", ("--budget", "1")),
+    ("star7", "star", "exact", ("--budget", "1")),
+    ("tree7", "tree", "auto", ("--budget", "1")),
+    ("sym6", "sym", "auto", ("--budget", "1")),
+    ("sym6", "sym", "auto", ("--no-certificates",)),
+    ("star5-rank2", "sym", "auto", ()),
+    ("sym3-rank2", "tree", "bounds", ()),
+]
+
+DECOMPOSE = [
+    (name, notion, minimize)
+    for name, notion in (
+        ("sym4-rational", "sym"),
+        ("sym4-infinite", "sym"),
+        ("sym6", "sym"),
+        ("star5-rank2", "star"),
+        ("star7", "star"),
+        ("tree5-rank2", "tree"),
+        ("tree5-rank3", "tree"),
+        ("tree6", "tree"),
+        ("tree7", "tree"),
+    )
+    for minimize in (False, True)
+]
+
+
+def _matrix_text(name: str) -> str:
+    rows = MATRICES[name]
+    kind = "symmetric" if name.startswith("sym") else "dissimilarity"
+    lines = [f"{kind} {len(rows)}"]
+    lines += [" ".join("*" if x is None else str(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _run(tmp_path, capsys, argv_tail, name):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(_matrix_text(name))
+    code = main([argv_tail[0], str(path), *argv_tail[1:]])
+    return code, capsys.readouterr().out
+
+
+def _pin(code: int, out: str):
+    rank = json.loads(out).get("rank", "-") if out else "-"
+    return code, rank, hashlib.sha256(out.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,notion,method,extra", RUNS)
+def test_rank_routes_are_pinned(tmp_path, capsys, name, notion, method, extra):
+    argv = ["rank", "--notion", notion, "--method", method, *extra]
+    code, out = _run(tmp_path, capsys, argv, name)
+    key = " ".join((name, notion, method, *extra))
+    assert _pin(code, out) == PINS[key]
+
+
+@pytest.mark.parametrize("name,notion,minimize", DECOMPOSE)
+def test_decompose_is_pinned(tmp_path, capsys, name, notion, minimize):
+    argv = ["decompose", "--notion", notion] + (["--minimize"] if minimize else [])
+    code, out = _run(tmp_path, capsys, argv, name)
+    key = " ".join((name, notion, "decompose") + (("--minimize",) if minimize else ()))
+    assert _pin(code, out) == PINS[key]
+
+
+def test_library_matches_cli(tmp_path, capsys):
+    for name, notion, method, extra in RUNS:
+        if extra and extra[0] == "--no-certificates":
+            continue
+        budget = int(extra[1]) if extra else None
+        code, out = _run(tmp_path, capsys, ["rank", "--notion", notion, "--method", method, *extra], name)
+        if code == 2:  # the matrix file is of the wrong kind for the notion
+            continue
+        m = parse_matrix(_matrix_text(name))
+        result = compute_rank(m, NOTION_ALIASES[notion], method, budget)
+        assert json.dumps(result.to_json_dict(), indent=2) + "\n" == out, (name, notion, method)
+
+
+def test_compute_rank_rejects_unknown_method():
+    m = parse_matrix(_matrix_text("sym3-rank2"))
+    with pytest.raises(ValueError):
+        compute_rank(m, "sym", "fastest")
+
+
+def test_package_imports_have_no_cycle():
+    """Relative imports of src/troprank, top-level and function-local, form
+    a directed acyclic graph."""
+    package = Path(__file__).resolve().parent.parent / "src" / "troprank"
+    graph = {}
+    for path in sorted(package.glob("*.py")):
+        name = path.stem
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    targets.add(node.module.split(".")[0])
+                else:  # `from . import x` names modules, or __init__ attributes
+                    for alias in node.names:
+                        sub = alias.name
+                        targets.add(sub if (package / f"{sub}.py").exists() else "__init__")
+        graph[name] = targets - {name}
+    graph["__init__"].discard("__init__")
+    state = {}
+
+    def visit(node, trail):
+        if state.get(node) == "done":
+            return
+        assert state.get(node) != "open", f"import cycle: {' -> '.join(trail + [node])}"
+        state[node] = "open"
+        for target in sorted(graph.get(node, ())):
+            visit(target, trail + [node])
+        state[node] = "done"
+
+    for node in sorted(graph):
+        visit(node, [])
+    assert {"rank", "upper", "small_cases", "covers", "cli"} <= set(graph)
+
+
+def test_budget_two_interval_always_proves_rank_above_two(monkeypatch):
+    """exact_rank(m, TREE, budget=2) returns a rank, or an interval whose
+    lower bound is at least 3: either χ >= 3, or the search has ruled out
+    every r <= 2.  The second run weakens χ to 1 (still a valid lower bound)
+    so that the search itself has to rule out ranks 1 and 2."""
+    import troprank.rank as rank_module
+
+    rng = random.Random(11)
+    matrices = [random_dissimilarity(rng, 6 + trial % 2, 0, 6) for trial in range(30)]
+    intervals = 0
+    for m in matrices:
+        result = exact_rank(m, TREE, budget=2)
+        if result.status == "interval":
+            intervals += 1
+            assert result.lower >= 3 and result.chromatic_bound >= 3
+        else:
+            assert result.status == "finite"
+    assert intervals > 0
+
+    monkeypatch.setattr(rank_module, "optimal_coloring", lambda h: (1, None))
+    searched = 0
+    for m in matrices:
+        result = exact_rank(m, TREE, budget=2)
+        if result.status == "interval":
+            searched += 1
+            assert result.lower == 3
+            assert result.lower_certificate["infeasible_through"] == 2
+        else:
+            assert result.status == "finite" and result.value <= 3
+    assert searched >= intervals

@@ -38,7 +38,6 @@ from .membership import (
     is_tree_matrix,
     is_tropically_singular_3x3,
     pfaffian_minimizers,
-    vanishes_at,
 )
 from .rank import (
     RankResult,

@@ -5,8 +5,8 @@ determination, 1 when `verify` rejects a decomposition, 2 for usage or
 parse errors, 3 when only an interval could be certified, 4 for infinite
 rank (a determination scripts can branch on).
 
-`rank` only parses, checks the file kind and emits; the method dispatch
-lives in `troprank.rank.compute_rank`.
+`rank` only parses and emits; the file-kind check and the method dispatch
+live in `troprank.rank.compute_rank`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .matrixio import MatrixFormatError, load_matrix, parse_matrix, serialize_ma
 from .membership import BASES
 from .rank import (
     METHODS,
+    check_space,
     compute_rank,
     exact_rank,
     finiteness_violation,
@@ -53,18 +54,9 @@ def _load(path: str) -> Matrix:
     return parse_matrix(sys.stdin.read()) if path == "-" else load_matrix(path)
 
 
-def _check_space(m: Matrix, notion: str) -> None:
-    if notion == SYM and not isinstance(m, SymmetricMatrix):
-        raise MatrixFormatError("symmetric rank needs a symmetric matrix file")
-    if notion in (STAR, TREE) and not isinstance(m, DissimilarityMatrix):
-        raise MatrixFormatError(f"{notion} rank needs a dissimilarity matrix file")
-
-
 def cmd_rank(args) -> int:
     m = _load(args.file)
-    notion = NOTION_ALIASES[args.notion]
-    _check_space(m, notion)
-    result = compute_rank(m, notion, args.method, args.budget)
+    result = compute_rank(m, NOTION_ALIASES[args.notion], args.method, args.budget)
     payload = result.to_json_dict()
     if args.no_certificates:
         payload.pop("decomposition", None)
@@ -75,7 +67,7 @@ def cmd_rank(args) -> int:
 def cmd_decompose(args) -> int:
     m = _load(args.file)
     notion = NOTION_ALIASES[args.notion]
-    _check_space(m, notion)
+    check_space(m, notion)
     if args.minimize:
         result = exact_rank(m, notion)
         if result.status == "infinite":

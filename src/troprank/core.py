@@ -9,9 +9,11 @@ unordered index pair.  Indices are 1-based in the public API.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 # The rank of a symmetric matrix that no rank-one sum reaches, and the
@@ -72,6 +74,25 @@ def offdiag_positions(n: int) -> list[Position]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
+Pairing = tuple[Position, Position]
+Quartet = tuple[Pairing, Pairing, Pairing]
+
+
+@lru_cache(maxsize=None)
+def quartets(n: int) -> tuple[Quartet, ...]:
+    """The three pairings (ij|kl, ik|jl, il|jk) of each i < j < k < l.
+
+    The quartets come in `itertools.combinations` order, and a pairing's
+    index in its quartet is its split code.  Every quadruple loop of the
+    package (the star tree and Pluecker bases, the four-point test, the
+    tree-slot split codes) reads this one table.
+    """
+    return tuple(
+        (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))
+        for i, j, k, l in itertools.combinations(range(1, n + 1), 4)
+    )
+
+
 class _PairIndexed:
     """Shared storage/indexing for the two matrix spaces."""
 
@@ -96,6 +117,15 @@ class _PairIndexed:
 
     def max_abs_entry(self) -> Fraction:
         return max((abs(v) for v in self.values), default=Fraction(0))
+
+    def scaled_to_integers(self) -> tuple[int, dict[Position, int]]:
+        """(scale, {position: entry * scale}), scale the lcm of the denominators.
+
+        Ranks, ties and minimizers are invariant under positive scaling, so
+        integer kernels work on these values and divide by `scale` on exit.
+        """
+        scale = math.lcm(*(v.denominator for v in self.values))
+        return scale, {p: v.numerator * (scale // v.denominator) for p, v in self.items()}
 
 
 def _check_bounds(n: int, i: int, j: int) -> None:

@@ -21,9 +21,9 @@ from .membership import (
     PLUECKER,
     STAR_TREE,
     SYMMETRIC_MINORS,
-    TropicalPolynomial,
+    Relation,
     basis_for,
-    vanishes_at,
+    term_label,
 )
 
 
@@ -31,7 +31,8 @@ from .membership import (
 class DeficiencyHypergraph:
     vertices: tuple[Position, ...]
     hyperedges: tuple[frozenset[Position], ...]
-    provenance: dict[frozenset[Position], TropicalPolynomial] = field(hash=False, compare=False, default_factory=dict)
+    # The first relation, in basis order, that put each hyperedge in.
+    provenance: dict[frozenset[Position], Relation] = field(hash=False, compare=False, default_factory=dict)
 
     def loops(self) -> list[Position]:
         return sorted(next(iter(e)) for e in self.hyperedges if len(e) == 1)
@@ -56,8 +57,8 @@ class DeficiencyHypergraph:
             "vertices": [pos_name(v) for v in self.vertices],
             "hyperedges": [sorted(pos_name(v) for v in e) for e in self.hyperedges],
             "provenance": {
-                "|".join(sorted(pos_name(v) for v in e)): poly.label()
-                for e, poly in self.provenance.items()
+                "|".join(sorted(pos_name(v) for v in e)): " (+) ".join(map(term_label, relation))
+                for e, relation in self.provenance.items()
             },
         }
 
@@ -84,23 +85,29 @@ class DeficiencyHypergraph:
 
 
 def build_deficiency(w: Matrix, basis: str) -> DeficiencyHypergraph:
-    """Hyperedges from the basis polynomials uniquely minimized at w."""
+    """Hyperedges from the basis relations uniquely minimized at w.
+
+    Every term is a sum of two entries, so the sums run in integers (the
+    entries times the lcm of their denominators), which keeps each tie and
+    each minimizer.
+    """
     if basis == SYMMETRIC_MINORS and not isinstance(w, SymmetricMatrix):
         raise TypeError("the minors basis applies to symmetric matrices")
     if basis in (STAR_TREE, PLUECKER) and not isinstance(w, DissimilarityMatrix):
         raise TypeError(f"the {basis} basis applies to dissimilarity matrices")
+    relations = basis_for(basis, w.n)
+    _, values = w.scaled_to_integers()
     hyperedges: list[frozenset[Position]] = []
-    provenance: dict[frozenset[Position], TropicalPolynomial] = {}
-    seen = set()
-    for poly in basis_for(basis, w.n):
-        ties, winners = vanishes_at(poly, w)
-        if ties:
+    provenance: dict[frozenset[Position], Relation] = {}
+    for relation in relations:
+        sums = [values[a] + values[b] for a, b in relation]
+        low = min(sums)
+        if sums.count(low) > 1:
             continue
-        edge = frozenset(winners[0].positions())
-        if edge not in seen:
-            seen.add(edge)
+        edge = frozenset(relation[sums.index(low)])
+        if edge not in provenance:
             hyperedges.append(edge)
-            provenance[edge] = poly
+            provenance[edge] = relation
     return DeficiencyHypergraph(tuple(w.positions()), tuple(hyperedges), provenance)
 
 

@@ -1,12 +1,18 @@
 """Membership tests for the three varieties and their tropical bases.
 
-A tropical polynomial here is a finite min of affine terms ("monomials");
-a point lies on the hypersurface when the minimum is attained at least
-twice.  The three quadratic bases used throughout:
+A tropical polynomial is a finite min of terms; a point lies on its
+hypersurface when the minimum is attained at least twice.  The three
+quadratic bases used throughout have terms that are sums of two matrix
+entries:
 
 * symmetric 2x2 minors     -- rank-one symmetric matrices,
 * pair-swap relations      -- star tree matrices (projected rank one),
 * three-term relations     -- tree matrices (four-point condition).
+
+`basis_for(name, n)` returns a basis as a cached relation table: a
+relation is a tuple of terms, a term a sorted pair of positions (one
+position twice for a square such as x12^2).  `TropicalMonomial` carries
+the higher-degree terms of the 5x5 closed forms.
 """
 
 from __future__ import annotations
@@ -14,14 +20,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .core import (
     DissimilarityMatrix,
     Matrix,
+    Pairing,
     Position,
     SymmetricMatrix,
-    frac,
+    quartets,
     rank_one_generator,
     star_generator,
 )
@@ -32,135 +40,79 @@ STAR_TREE = "star-tree"
 PLUECKER = "pluecker"
 BASES = (SYMMETRIC_MINORS, STAR_TREE, PLUECKER)
 
+Term = Pairing  # x_a * x_b as the sorted pair (a, b); a == b for a square
+Relation = tuple[Term, ...]
+
+
+def term_label(positions: Sequence[Position]) -> str:
+    """"x12*x34", "x12^2" or "x1,10*x23" for a sorted product of entries."""
+    parts = []
+    for p, group in itertools.groupby(positions):
+        e = len(list(group))
+        name = f"x{p[0]}{p[1]}" if p[0] <= 9 and p[1] <= 9 else f"x{p[0]},{p[1]}"
+        parts.append(name + (f"^{e}" if e > 1 else ""))
+    return "*".join(parts)
+
 
 @dataclass(frozen=True)
 class TropicalMonomial:
-    """coefficient + sum of exponent * coordinate over the listed positions."""
+    """A sum of exponent * coordinate over the listed positions."""
 
     exponents: tuple[tuple[Position, int], ...]
-    coefficient: Fraction = Fraction(0)
 
     @classmethod
-    def from_positions(cls, positions: Iterable[Position], coefficient=0) -> "TropicalMonomial":
+    def from_positions(cls, positions: Iterable[Position]) -> "TropicalMonomial":
         counts: dict[Position, int] = {}
         for p in positions:
             counts[p] = counts.get(p, 0) + 1
-        return cls(tuple(sorted(counts.items())), frac(coefficient))
+        return cls(tuple(sorted(counts.items())))
 
     def positions(self) -> tuple[Position, ...]:
         return tuple(p for p, _ in self.exponents)
 
     def evaluate(self, m: Matrix) -> Fraction:
-        return self.coefficient + sum((m[p] * e for p, e in self.exponents), Fraction(0))
+        return sum((m[p] * e for p, e in self.exponents), Fraction(0))
 
     def label(self) -> str:
-        def pos_name(p: Position) -> str:
-            return f"x{p[0]}{p[1]}" if _compact_pair(p) else f"x{p[0]},{p[1]}"
-
-        parts = []
-        for p, e in self.exponents:
-            parts.append(pos_name(p) + (f"^{e}" if e > 1 else ""))
-        return "*".join(parts) if parts else "0"
-
-
-def _compact_pair(p: Position) -> bool:
-    return p[0] <= 9 and p[1] <= 9
-
-
-@dataclass(frozen=True)
-class TropicalPolynomial:
-    """Min of at least two monomials; fewer define no hypersurface."""
-
-    monomials: tuple[TropicalMonomial, ...]
-
-    def __post_init__(self):
-        if len(self.monomials) < 2:
-            raise ValueError("a tropical polynomial needs at least two monomials")
-
-    def label(self) -> str:
-        return " (+) ".join(mon.label() for mon in self.monomials)
-
-
-def vanishes_at(p: TropicalPolynomial, m: Matrix) -> tuple[bool, tuple[TropicalMonomial, ...]]:
-    """Whether the minimum is attained at least twice, plus the minimizers."""
-    values = [mon.evaluate(m) for mon in p.monomials]
-    lo = min(values)
-    winners = tuple(mon for mon, v in zip(p.monomials, values) if v == lo)
-    return len(winners) >= 2, winners
-
-
-def symmetric_minors_basis(n: int) -> list[TropicalPolynomial]:
-    """All distinct 2x2 tropical minors x_ij*x_kl (+) x_il*x_kj, i!=k, j!=l.
-
-    On symmetric matrices different row/column picks can produce the same
-    pair of monomials, so polynomials are deduplicated by content.
-    """
-    seen = set()
-    out = []
-    for i, k in itertools.combinations(range(1, n + 1), 2):
-        for j, l in itertools.combinations(range(1, n + 1), 2):
-            t1 = TropicalMonomial.from_positions([_sym_pos(i, j), _sym_pos(k, l)])
-            t2 = TropicalMonomial.from_positions([_sym_pos(i, l), _sym_pos(k, j)])
-            key = frozenset((t1, t2))
-            if len(key) < 2 or key in seen:
-                continue
-            seen.add(key)
-            out.append(TropicalPolynomial(tuple(sorted(key, key=lambda t: t.exponents))))
-    return out
+        return term_label([p for p, e in self.exponents for _ in range(e)])
 
 
 def _sym_pos(i: int, j: int) -> Position:
     return (i, j) if i <= j else (j, i)
 
 
-def star_tree_basis(n: int) -> list[TropicalPolynomial]:
-    """Pair-swap relations x_ij*x_kl (+) x_ik*x_jl over distinct i,j,k,l.
+def _symmetric_minors(n: int) -> tuple[Relation, ...]:
+    # Distinct 2x2 minors x_ij*x_kl (+) x_il*x_kj, i < k, j < l.  The two
+    # terms never share a position.  On symmetric matrices different
+    # row/column picks can give the same pair of terms, so relations are
+    # deduplicated by content.
+    seen = set()
+    out = []
+    for i, k in itertools.combinations(range(1, n + 1), 2):
+        for j, l in itertools.combinations(range(1, n + 1), 2):
+            t1 = tuple(sorted((_sym_pos(i, j), _sym_pos(k, l))))
+            t2 = tuple(sorted((_sym_pos(i, l), _sym_pos(k, j))))
+            relation = (t1, t2) if t1 < t2 else (t2, t1)
+            if relation not in seen:
+                seen.add(relation)
+                out.append(relation)
+    return tuple(out)
 
-    Three two-term polynomials per quadruple, one for each pair of pairings.
+
+@lru_cache(maxsize=None)
+def basis_for(name: str, n: int) -> tuple[Relation, ...]:
+    """The relation table of a basis at size n.
+
+    symmetric-minors: the distinct 2x2 minors; star-tree: the three
+    pair-swap relations ij.kl (+) ik.jl, ij.kl (+) il.jk, ik.jl (+) il.jk
+    of each quadruple; pluecker: its three-term relation.
     """
-    out = []
-    for quad in itertools.combinations(range(1, n + 1), 4):
-        pairings = _pairings(quad)
-        for a, b in itertools.combinations(pairings, 2):
-            out.append(
-                TropicalPolynomial(
-                    (
-                        TropicalMonomial.from_positions(a),
-                        TropicalMonomial.from_positions(b),
-                    )
-                )
-            )
-    return out
-
-
-def pluecker_basis(n: int) -> list[TropicalPolynomial]:
-    """Three-term relations, one per quadruple of indices."""
-    out = []
-    for quad in itertools.combinations(range(1, n + 1), 4):
-        out.append(
-            TropicalPolynomial(
-                tuple(TropicalMonomial.from_positions(p) for p in _pairings(quad))
-            )
-        )
-    return out
-
-
-def _pairings(quad: Sequence[int]) -> list[tuple[Position, Position]]:
-    i, j, k, l = quad
-    return [
-        ((i, j), (k, l)),
-        ((i, k), (j, l)),
-        ((i, l), (j, k)),
-    ]
-
-
-def basis_for(name: str, n: int) -> list[TropicalPolynomial]:
     if name == SYMMETRIC_MINORS:
-        return symmetric_minors_basis(n)
+        return _symmetric_minors(n)
     if name == STAR_TREE:
-        return star_tree_basis(n)
+        return tuple((q[a], q[b]) for q in quartets(n) for a, b in ((0, 1), (0, 2), (1, 2)))
     if name == PLUECKER:
-        return pluecker_basis(n)
+        return quartets(n)
     raise ValueError(f"unknown tropical basis {name!r}; expected one of {BASES}")
 
 
@@ -239,16 +191,12 @@ __all__ = [
     "STAR_TREE",
     "SYMMETRIC_MINORS",
     "TropicalMonomial",
-    "TropicalPolynomial",
     "basis_for",
     "is_rank1_symmetric",
     "is_star_tree",
     "is_tree_matrix",
     "is_tropically_singular_3x3",
     "pfaffian_minimizers",
-    "pluecker_basis",
     "realize_tree",
-    "star_tree_basis",
-    "symmetric_minors_basis",
-    "vanishes_at",
+    "term_label",
 ]

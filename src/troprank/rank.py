@@ -36,7 +36,6 @@ certified chromatic lower bound comes from.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -49,7 +48,7 @@ from .core import (
     Position,
     SymmetricMatrix,
     frac,
-    star_generator,
+    quartets,
 )
 from .decomposition import (  # noqa: F401  (the errors are re-exported)
     CertificateError,
@@ -70,16 +69,18 @@ from .deficiency import (
     optimal_coloring,
 )
 from .exactlp import TwoVarSystem, solve_linear_feasibility
-from .membership import PLUECKER, STAR_TREE, SYMMETRIC_MINORS, is_star_tree, is_tree_matrix
+from .membership import PLUECKER, STAR_TREE, SYMMETRIC_MINORS
 from .small_cases import star5_rank2_decompose, star5_rank2_test, sym3_rank, tree5_rank
-from .trees import WeightedTree, realize_tree
+from .trees import WeightedTree
 from .upper import (  # noqa: F401  (re-exported)
     _upper_for_search,
     finiteness_violation,
     normalize_diagonal,
+    one_summand,
     star_upper_decomposition,
     symmetric_rank_finite,
     symmetric_upper_decomposition,
+    upper_size,
 )
 
 METHODS = ("auto", "exact", "bounds")
@@ -104,15 +105,12 @@ def tree_upper_decomposition(m: DissimilarityMatrix) -> Decomposition:
     the three-block matching split for n = 6 (always), and the peel to
     the leading 6x6 block for n >= 7.
     """
-    n = m.n
-    if n != 6 and is_tree_matrix(m):
-        return Decomposition(TREE, (tree_summand(realize_tree(m)),))
-    if n == 5:
+    one = one_summand(m, TREE) if m.n != 6 else None
+    if one is not None:
+        return one
+    if m.n == 5:
         return tree5_rank(m).decomposition
-    dec = _upper_for_search(m, TREE)
-    if n >= 6:
-        assert len(dec) == 3 if n == 6 else len(dec) <= n - 3
-    return dec
+    return _upper_for_search(m, TREE)
 
 
 @dataclass(frozen=True)
@@ -188,7 +186,7 @@ def compute_rank(
     `budget` is the largest rank the search tries; past it the answer is
     an interval.  The closed forms and cover formulas ignore it.
     """
-    _check_space(m, notion)
+    check_space(m, notion)
     if method == "exact":
         return exact_rank(m, notion, budget)
     if method == "bounds":
@@ -201,7 +199,7 @@ def compute_rank(
     return result
 
 
-def _check_space(m: Matrix, notion: str) -> None:
+def check_space(m: Matrix, notion: str) -> None:
     if notion not in NOTIONS:
         raise ValueError(f"unknown rank notion {notion!r}")
     if notion == SYM and not isinstance(m, SymmetricMatrix):
@@ -222,8 +220,8 @@ def _closed_form_rank(m: Matrix, notion: str) -> Optional[RankResult]:
         return _finite_result(notion, outcome.value, chi, outcome.decomposition, closed)
     if notion == STAR and m.n == 5:
         chi = _chromatic(m, notion)[1]
-        if is_star_tree(m):
-            dec = Decomposition(STAR, (star_summand(star_generator(m)),))
+        dec = one_summand(m, STAR)
+        if dec is not None:
             return _finite_result(notion, 1, chi, dec, closed)
         ok, witness = star5_rank2_test(m)
         if ok:
@@ -255,11 +253,15 @@ def _zero_one_rank(m: Matrix, notion: str) -> RankResult:
 
 
 def _bounds_rank(m: Matrix, notion: str) -> RankResult:
-    """The chromatic lower bound and the constructive upper bound."""
-    front = _lower_and_upper(m, notion)
+    """The chromatic lower bound and the constructive upper bound, or one
+    summand when m lies on the variety (then χ = 1)."""
+    front = _lower_bound(m, notion)
     if isinstance(front, RankResult):
         return front
-    _, chi, upper = front
+    _, chi = front
+    upper = one_summand(m, notion) if chi == 1 else None
+    if upper is None:
+        upper = _upper_for_search(m, notion)
     if chi >= len(upper):
         return _finite_result(notion, len(upper), chi, upper, {"type": "bounds"})
     certificate = {"type": "chromatic", "value": chi}
@@ -275,16 +277,13 @@ def _chromatic(m: Matrix, notion: str) -> tuple[DeficiencyHypergraph, int]:
     return hypergraph, int(chi)
 
 
-def _lower_and_upper(
-    m: Matrix, notion: str
-) -> Union[RankResult, tuple[DeficiencyHypergraph, int, Decomposition]]:
-    """The infinite-rank result, or (deficiency graph, χ, upper bound)."""
+def _lower_bound(m: Matrix, notion: str) -> Union[RankResult, tuple[DeficiencyHypergraph, int]]:
+    """The infinite-rank result, or (deficiency graph, χ)."""
     if notion == SYM:
         violation = finiteness_violation(m)
         if violation is not None:
             return _infinite_result(notion, violation)
-    hypergraph, chi = _chromatic(m, notion)
-    return hypergraph, chi, _upper_for_search(m, notion)
+    return _chromatic(m, notion)
 
 
 def exact_rank(
@@ -297,15 +296,17 @@ def exact_rank(
     """Smallest number of variety summands reproducing m, with certificates.
 
     The search runs r upward from the chromatic lower bound (or from 1
-    when `search_from_one`), stopping at the constructive upper bound,
-    which is itself a verified decomposition.  Intended scale: n <= 7.
+    when `search_from_one`), stopping below the size of the constructive
+    upper bound, which depends on n alone; the construction, a verified
+    decomposition, is built only when the search finds nothing smaller.
+    Intended scale: n <= 7.
     """
-    _check_space(m, notion)
-    front = _lower_and_upper(m, notion)
+    check_space(m, notion)
+    front = _lower_bound(m, notion)
     if isinstance(front, RankResult):
         return front
-    hypergraph, chi, upper_dec = front
-    ub = len(upper_dec)
+    hypergraph, chi = front
+    ub = upper_size(notion, m.n)
     low = 1 if search_from_one else max(1, chi)
     budget_eff = ub if budget is None else budget
 
@@ -317,6 +318,7 @@ def exact_rank(
             dec = certify(m, _decomposition_from_witnesses(m, notion, witnesses))
             return _finite_result(notion, r, chi, dec, _lower_certificate(chi, r, searched_through))
         searched_through = r
+    upper_dec = _upper_for_search(m, notion)
     lower_proved = max(chi, searched_through + 1)
     if ub <= budget_eff or lower_proved >= ub:
         cert = _lower_certificate(chi, ub, searched_through)
@@ -377,8 +379,7 @@ class _AssignmentSearcher:
         self.eager = notion in (SYM, STAR)
         # Tree slots work on the entries times `scale`, all integers; a
         # tree LP's point is divided by `scale` again.
-        self.scale = math.lcm(*(v.denominator for _, v in m.items()))
-        self.values = {p: v.numerator * (self.scale // v.denominator) for p, v in m.items()}
+        self.scale, self.values = m.scaled_to_integers()
 
     def search(self, r: int) -> Optional[list[ClassWitness]]:
         order = self.order
@@ -472,21 +473,6 @@ class _AssignmentSearcher:
         return topology.build_tree(n, [x / self.scale for x in point])
 
 
-Quartet = tuple[tuple[Position, Position], ...]
-
-
-@lru_cache(maxsize=None)
-def _quartets(n: int) -> tuple[Quartet, ...]:
-    """The three pairings (ij|kl, ik|jl, il|jk) of each i < j < k < l.
-
-    A pairing's index in its quartet is its split code.
-    """
-    return tuple(
-        (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))
-        for i, j, k, l in itertools.combinations(range(1, n + 1), 4)
-    )
-
-
 def _forced_splits(
     n: int, values: dict[Position, int], cls: frozenset
 ) -> Optional[list[tuple[int, int]]]:
@@ -500,7 +486,7 @@ def _forced_splits(
     None when some quartet has two such pairings: no tree fits the slot.
     """
     forced = []
-    for q, pairings in enumerate(_quartets(n)):
+    for q, pairings in enumerate(quartets(n)):
         sums = [values[a] + values[b] for a, b in pairings]
         inside = [s for (a, b), s in zip(pairings, sums) if a in cls and b in cls]
         if not inside:
@@ -521,7 +507,7 @@ class _Topology:
     `edges` is sorted; an edge's index there is its LP variable.
     `paths[k]` is the bitmask of the edges on the path between the k-th
     leaf pair (i < j, in `itertools.combinations` order).  `splits[q]` is
-    the split code of the q-th quartet of `_quartets(n)`.
+    the split code of the q-th quartet of `core.quartets(n)`.
     """
 
     __slots__ = ("edges", "paths", "splits")
@@ -548,7 +534,7 @@ class _Topology:
         # In a binary tree exactly one pairing of a quartet has disjoint paths.
         self.splits = bytes(
             next(code for code, (a, b) in enumerate(pairings) if not path[a] & path[b])
-            for pairings in _quartets(n)
+            for pairings in quartets(n)
         )
 
     def build_tree(self, n: int, weights: Sequence[Fraction]) -> WeightedTree:

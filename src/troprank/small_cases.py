@@ -41,7 +41,6 @@ from .decomposition import (
 )
 from .membership import (
     TropicalMonomial,
-    is_rank1_symmetric,
     is_star_tree,
     is_tree_matrix,
     is_tropically_singular_3x3,
@@ -51,6 +50,7 @@ from .trees import embed_tree_block, realize_tree
 from .upper import (
     finiteness_violation,
     normalize_diagonal,
+    one_summand,
     star_upper_decomposition,
     symmetric_upper_decomposition,
 )
@@ -156,15 +156,12 @@ def sym3_rank(m: SymmetricMatrix) -> Sym3Result:
     violation = finiteness_violation(m)
     if violation is not None:
         return Sym3Result(INFINITE, None, violation)
-    if is_rank1_symmetric(m):
-        gen = tuple(m[(i, i)] / 2 for i in (1, 2, 3))
-        return Sym3Result(1, certify(m, Decomposition(SYM, (rank1_summand(gen),))))
+    dec = one_summand(m, SYM)
+    if dec is not None:
+        return Sym3Result(1, dec)
     if is_tropically_singular_3x3(m):
-        dec = _sym3_two_term(m)
-        return Sym3Result(2, dec)
-    dec = symmetric_upper_decomposition(m)
-    assert len(dec) == 3
-    return Sym3Result(3, dec)
+        return Sym3Result(2, _sym3_two_term(m))
+    return Sym3Result(3, symmetric_upper_decomposition(m))
 
 
 def _sym3_two_term(m: SymmetricMatrix) -> Decomposition:
@@ -320,8 +317,9 @@ def tree5_rank(m: DissimilarityMatrix) -> Tree5Result:
     """
     if m.n != 5:
         raise ValueError("this classifier handles n = 5 only")
-    if is_tree_matrix(m):
-        return Tree5Result(1, certify(m, Decomposition(TREE, (tree_summand(realize_tree(m)),))))
+    dec = one_summand(m, TREE)
+    if dec is not None:
+        return Tree5Result(1, dec)
     evaluation = evaluate_p22(m)
     triangles = [t for t in evaluation.minimizers() if t.kind == TRIANGLE]
     if triangles:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import DissimilarityMatrix, _pad_value, format_decimal_or_ratio, frac
+from .core import DissimilarityMatrix, _pad_value, format_decimal_or_ratio, frac, quartets
 
 
 class NotTreeMatrixError(ValueError):
@@ -24,17 +24,11 @@ class NotTreeMatrixError(ValueError):
 
 def four_point_violation(m: DissimilarityMatrix) -> Optional[tuple[int, int, int, int]]:
     """First quadruple whose pairing minimum is attained only once, if any."""
-    n = m.n
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                for l in range(k + 1, n + 1):
-                    p = m[(i, j)] + m[(k, l)]
-                    q = m[(i, k)] + m[(j, l)]
-                    r = m[(i, l)] + m[(j, k)]
-                    lo = min(p, q, r)
-                    if (p == lo) + (q == lo) + (r == lo) < 2:
-                        return (i, j, k, l)
+    for pairings in quartets(m.n):
+        sums = [m[a] + m[b] for a, b in pairings]
+        if sums.count(min(sums)) < 2:
+            (i, j), (k, l) = pairings[0]
+            return (i, j, k, l)
     return None
 
 

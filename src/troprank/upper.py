@@ -4,10 +4,12 @@ advance, for every input of finite rank.
 This layer sits below the closed forms (`small_cases`), the cover formulas
 (`covers`) and the solver (`rank`), which all build on it.  It owns the
 finiteness test and diagonal normalization for symmetric matrices, the
-inductive symmetric construction (at most max(n, n^2/4) summands), the
-star peel (n - 2), the 6x6 matching split (3) and the tree peel to the
-leading 6x6 block (n - 3).  `rank.tree_upper_decomposition` adds the 5x5
-two-tree classifier on top.
+one-summand certificate of an input on the variety (`one_summand`), the
+inductive symmetric construction (max(n, n^2/4) summands), the star peel
+(n - 2), the 6x6 matching split (3) and the tree peel to the leading 6x6
+block (n - 3).  These sizes depend on n alone (`upper_size`), and each
+construction raises if it misses its size.  `rank.tree_upper_decomposition`
+adds the 5x5 two-tree classifier on top.
 
 Constructions that need a "sufficiently large" padding constant go through
 `decomposition.verified_padded`, which verifies each result and retries
@@ -28,20 +30,23 @@ from .core import (
     _pad_value,
     pad_generator,
     principal_submatrix,
+    rank_one_generator,
     star_generator,
 )
 from .decomposition import (
+    CertificateError,
     Decomposition,
     STAR,
     SYM,
     TREE,
+    certify,
     rank1_summand,
     star_summand,
     tree_summand,
     verified_padded,
 )
 from .membership import pfaffian_minimizers
-from .trees import WeightedTree, embed_tree_block
+from .trees import WeightedTree, embed_tree_block, realize_tree
 
 
 def finiteness_violation(m: SymmetricMatrix) -> Optional[Position]:
@@ -70,11 +75,43 @@ def normalize_diagonal(m: SymmetricMatrix) -> tuple[SymmetricMatrix, tuple[Fract
     return normalized, offsets
 
 
+def one_summand(m: Matrix, notion: str) -> Optional[Decomposition]:
+    """The certified one-summand decomposition of m, or None off the variety."""
+    try:
+        if notion == SYM:
+            summand = rank1_summand(rank_one_generator(m))
+        elif notion == STAR:
+            summand = star_summand(star_generator(m))
+        else:
+            summand = tree_summand(realize_tree(m))
+    except ValueError:  # not rank one (NotTreeMatrixError is a ValueError)
+        return None
+    return certify(m, Decomposition(notion, (summand,)))
+
+
+def upper_size(notion: str, n: int) -> int:
+    """The number of summands `_upper_for_search` returns at size n."""
+    if notion == SYM:
+        return max(n, n * n // 4)
+    if notion == STAR or n <= 5:
+        return n - 2
+    return 3 if n == 6 else n - 3
+
+
+def _sized(dec: Decomposition, n: int) -> Decomposition:
+    expected = upper_size(dec.notion, n)
+    if len(dec) != expected:
+        raise CertificateError(
+            f"{dec.notion} construction has {len(dec)} summands, expected {expected}"
+        )
+    return dec
+
+
 # --- symmetric upper bound -------------------------------------------------
 
 
 def symmetric_upper_decomposition(m: SymmetricMatrix) -> Decomposition:
-    """At most max(n, floor(n^2/4)) rank-one summands for finite-rank input.
+    """max(n, floor(n^2/4)) rank-one summands for finite-rank input.
 
     Inductive construction: split off two rows through a minimal
     off-diagonal entry, recurse on the rest allowing one relaxed diagonal
@@ -95,9 +132,7 @@ def symmetric_upper_decomposition(m: SymmetricMatrix) -> Decomposition:
             )
         return Decomposition(SYM, tuple(summands))
 
-    dec = verified_padded(m, build, 1 + m.max_abs_entry())
-    assert len(dec) <= max(m.n, m.n * m.n // 4)
-    return dec
+    return _sized(verified_padded(m, build, 1 + m.max_abs_entry()), m.n)
 
 
 def _sym_exact(m0, idx: tuple[int, ...], c) -> list[dict[int, Fraction]]:
@@ -171,16 +206,14 @@ def _sym_split_step(m0, idx: tuple[int, ...], c) -> list[dict[int, Fraction]]:
 
 
 def star_upper_decomposition(m: DissimilarityMatrix) -> Decomposition:
-    """At most n-2 star summands: peel the last index with one fresh star."""
+    """n-2 star summands: peel the last index with one fresh star."""
 
     def build(c: Fraction) -> Decomposition:
         return Decomposition(
             STAR, tuple(star_summand(v) for v in _star_vectors(m, c))
         )
 
-    dec = verified_padded(m, build, 1 + m.max_abs_entry())
-    assert len(dec) <= m.n - 2
-    return dec
+    return _sized(verified_padded(m, build, 1 + m.max_abs_entry()), m.n)
 
 
 def _star_vectors(m: DissimilarityMatrix, c: Fraction) -> list[tuple[Fraction, ...]]:
@@ -284,4 +317,4 @@ def _upper_for_search(m: Matrix, notion: str) -> Decomposition:
     if m.n <= 5:
         return _tree_from_star(m)
     build = _tree6_decomposition if m.n == 6 else _tree_peel_decomposition
-    return verified_padded(m, lambda c: build(m, c), 1 + m.max_abs_entry())
+    return _sized(verified_padded(m, lambda c: build(m, c), 1 + m.max_abs_entry()), m.n)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -55,6 +56,37 @@ def proper(coloring, edges):
     return all(len({coloring[v] for v in e}) == 2 for e in edges)
 
 
+def naive_hyperedges(m, basis):
+    """Hyperedges by the definition, in Fraction: every 2x2 minor
+    x_ij x_kl (+) x_il x_kj (i != k, j != l), every pair of the pairings
+    ij|kl, ik|jl, il|jk of a quadruple (star tree), or all three of them
+    (Pluecker), whose minimum is attained by one term only."""
+    n = m.n
+
+    def pos(i, j):
+        return (min(i, j), max(i, j))
+
+    polynomials = []
+    if basis == SYMMETRIC_MINORS:
+        for i, k, j, l in itertools.product(range(1, n + 1), repeat=4):
+            if i != k and j != l:
+                polynomials.append([(pos(i, j), pos(k, l)), (pos(i, l), pos(k, j))])
+    else:
+        for i, j, k, l in itertools.combinations(range(1, n + 1), 4):
+            pairings = [((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k))]
+            if basis == PLUECKER:
+                polynomials.append(pairings)
+            else:
+                polynomials += [list(pair) for pair in itertools.combinations(pairings, 2)]
+    edges = set()
+    for terms in polynomials:
+        values = [m[a] + m[b] for a, b in terms]
+        winners = [t for t, v in zip(terms, values) if v == min(values)]
+        if len(winners) == 1:
+            edges.add(frozenset(winners[0]))
+    return edges
+
+
 class TestBuildDeficiency:
     def test_empty_iff_on_variety_symmetric(self, rng):
         for _ in range(30):
@@ -105,6 +137,27 @@ class TestBuildDeficiency:
                 )
 
             assert {move(e) for e in h.hyperedges} == set(hp.hyperedges)
+
+    @pytest.mark.parametrize("basis", [SYMMETRIC_MINORS, STAR_TREE, PLUECKER])
+    def test_matches_naive_reference(self, basis):
+        rng = random.Random(31)
+        space = SymmetricMatrix if basis == SYMMETRIC_MINORS else DissimilarityMatrix
+        edges_seen = 0
+        for trial in range(24):
+            n = (2 if basis == SYMMETRIC_MINORS else 4) + trial % 4
+            top = 3 if trial % 2 else 40  # small ranges make ties
+            m = space.from_function(
+                n, lambda i, j: Fraction(rng.randint(-top, top), rng.choice((1, 2, 3, 4, 6)))
+            )
+            h = build_deficiency(m, basis)
+            assert len(set(h.hyperedges)) == len(h.hyperedges)
+            assert set(h.hyperedges) == naive_hyperedges(m, basis)
+            for edge, relation in h.provenance.items():
+                values = [m[a] + m[b] for a, b in relation]
+                assert values.count(min(values)) == 1
+                assert frozenset(relation[values.index(min(values))]) == edge
+            edges_seen += len(h.hyperedges)
+        assert edges_seen > 50
 
     def test_provenance_and_exports(self, intro_dissimilarity):
         h = build_deficiency(intro_dissimilarity, STAR_TREE)

@@ -1,4 +1,4 @@
-"""Membership tests, tropical polynomial evaluation, the 6x6 matching
+"""Membership tests, the basis relation tables, the 6x6 matching
 polynomial, and exact tree realization."""
 
 import itertools
@@ -13,19 +13,19 @@ from troprank.core import (
     project,
     rank_one_symmetric,
 )
+from troprank.deficiency import build_deficiency
 from troprank.membership import (
     PLUECKER,
     STAR_TREE,
     SYMMETRIC_MINORS,
     TropicalMonomial,
-    TropicalPolynomial,
     basis_for,
     is_rank1_symmetric,
     is_star_tree,
     is_tree_matrix,
     is_tropically_singular_3x3,
     pfaffian_minimizers,
-    vanishes_at,
+    term_label,
 )
 from troprank.trees import NotTreeMatrixError, realize_tree
 
@@ -55,31 +55,22 @@ def cycle_zero_one(n: int) -> DissimilarityMatrix:
 
 
 class TestVanishesAt:
+    """A relation vanishes at w when its minimum is attained twice; the
+    others give the deficiency hyperedges, with the relation as provenance."""
+
     def test_unique_minimizer_reported(self, intro_dissimilarity):
-        poly = TropicalPolynomial(
-            (
-                TropicalMonomial.from_positions([(1, 2), (3, 4)]),
-                TropicalMonomial.from_positions([(1, 3), (2, 4)]),
-            )
-        )
-        vanishes, winners = vanishes_at(poly, intro_dissimilarity)
-        assert not vanishes
-        assert len(winners) == 1
-        assert winners[0].positions() == ((1, 3), (2, 4))
+        # Pairing sums 12|34 = 2, 13|24 = 0, 14|23 = 0.
+        h = build_deficiency(intro_dissimilarity, STAR_TREE)
+        edge = frozenset({(1, 3), (2, 4)})
+        assert h.hyperedges == (edge, frozenset({(1, 4), (2, 3)}))
+        assert h.provenance[edge] == (((1, 2), (3, 4)), ((1, 3), (2, 4)))
+        assert h.to_json_dict()["provenance"]["1,3|2,4"] == "x12*x34 (+) x13*x24"
 
     def test_constant_matrix_ties_everything(self):
         m = DissimilarityMatrix.from_function(4, lambda i, j: 5)
-        for poly in basis_for(STAR_TREE, 4):
-            vanishes, winners = vanishes_at(poly, m)
-            assert vanishes and len(winners) == 2
-
-    def test_coefficients_shift_evaluation(self, intro_dissimilarity):
-        mono = TropicalMonomial.from_positions([(1, 2)], coefficient=frac("1/2"))
-        assert mono.evaluate(intro_dissimilarity) == frac("3/2")
-
-    def test_polynomial_needs_two_monomials(self):
-        with pytest.raises(ValueError):
-            TropicalPolynomial((TropicalMonomial.from_positions([(1, 2)]),))
+        assert all(len(relation) == 2 for relation in basis_for(STAR_TREE, 4))
+        assert build_deficiency(m, STAR_TREE).is_empty()
+        assert build_deficiency(m, PLUECKER).is_empty()
 
 
 class TestRankOneMembership:
@@ -287,6 +278,19 @@ class TestBases:
     def test_unknown_basis(self):
         with pytest.raises(ValueError):
             basis_for("mystery", 4)
+
+    def test_relations_are_sorted_position_pairs(self):
+        # x11*x22 (+) x12^2: a square is one position twice.
+        assert basis_for(SYMMETRIC_MINORS, 2) == ((((1, 1), (2, 2)), ((1, 2), (1, 2))),)
+        assert [term_label(t) for t in basis_for(SYMMETRIC_MINORS, 2)[0]] == ["x11*x22", "x12^2"]
+        assert basis_for(PLUECKER, 4) == ((((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))),)
+        for name in (SYMMETRIC_MINORS, STAR_TREE, PLUECKER):
+            for relation in basis_for(name, 6):
+                assert all(a <= b for a, b in relation)
+
+    def test_one_term_formatter(self):
+        assert term_label(((1, 10), (2, 3))) == "x1,10*x23"
+        assert TropicalMonomial.from_positions([(3, 4), (1, 2), (1, 2)]).label() == "x12^2*x34"
 
 
 class TestDegenerateRealizations:

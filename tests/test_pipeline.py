@@ -1,24 +1,32 @@
 """The rank pipeline end to end: every route of `rank --method auto`, the
-same inputs under `exact` and `bounds`, and `decompose` with and without
-`--minimize`, pinned by exit code, reported rank and a digest of stdout.
+same inputs under `exact` and `bounds`, `decompose` with and without
+`--minimize`, and `deficiency` in both formats for each basis, pinned by
+exit code, reported rank and a digest of stdout.
 
 The pins were recorded before method dispatch moved from the CLI into
 `troprank.compute_rank`, so they hold the library to the CLI's old output
 byte for byte.  `compute_rank(...).to_json_dict()` must print the same JSON.
+The four `bounds` pins of rank-one inputs (sym3-rank1 sym, star5-rank1 star
+and tree, tree5-rank1 tree) give rank 1: `bounds` tries the one-summand
+certificate whenever χ = 1.  The `deficiency` pins were recorded before the
+bases became relation tables.
 """
 
 import ast
 import hashlib
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from troprank import compute_rank
 from troprank.cli import NOTION_ALIASES, main
+from troprank.core import DissimilarityMatrix
 from troprank.decomposition import TREE
-from troprank.matrixio import parse_matrix
+from troprank.generators import generate
+from troprank.matrixio import parse_matrix, serialize_matrix
 from troprank.rank import exact_rank
 
 from conftest import random_dissimilarity
@@ -84,7 +92,7 @@ NOTIONS_OF = {
 PINS = {
     'sym3-rank1 sym auto': (0, 1, '7a5a94aa10208a9b'),
     'sym3-rank1 sym exact': (0, 1, '2f5181daa1cd9440'),
-    'sym3-rank1 sym bounds': (3, None, '577d47221bb21f53'),
+    'sym3-rank1 sym bounds': (0, 1, 'b2ed9e77cf16cd76'),
     'sym3-rank2 sym auto': (0, 2, 'd36cc8c81344cc1d'),
     'sym3-rank2 sym exact': (0, 2, 'f64f55e75226cfc6'),
     'sym3-rank2 sym bounds': (3, None, '5953b58f96a591d8'),
@@ -102,10 +110,10 @@ PINS = {
     'sym4-rational sym bounds': (0, 4, '38a82f1fbd9f4fde'),
     'star5-rank1 star auto': (0, 1, 'ddd3bff25135283c'),
     'star5-rank1 star exact': (0, 1, 'cc27f3baca720db4'),
-    'star5-rank1 star bounds': (3, None, '82995042532adbd3'),
+    'star5-rank1 star bounds': (0, 1, 'd18a94d064bb8dda'),
     'star5-rank1 tree auto': (0, 1, '8a1084f193e47989'),
     'star5-rank1 tree exact': (0, 1, '196da7cf2c82f214'),
-    'star5-rank1 tree bounds': (3, None, 'e6a4492685c35422'),
+    'star5-rank1 tree bounds': (0, 1, '65bc7187a9ade918'),
     'star5-rank2 star auto': (0, 2, '704cdfd085b53471'),
     'star5-rank2 star exact': (0, 2, 'fbf26ec10eadb5a9'),
     'star5-rank2 star bounds': (3, None, '98d1a6a2eeee98d4'),
@@ -120,7 +128,7 @@ PINS = {
     'star5-rank3 tree bounds': (3, None, '5932d7c7f0389277'),
     'tree5-rank1 tree auto': (0, 1, 'c87749609fb3dde6'),
     'tree5-rank1 tree exact': (0, 1, 'b9e2eefc11e18114'),
-    'tree5-rank1 tree bounds': (3, None, 'd6df176244e65315'),
+    'tree5-rank1 tree bounds': (0, 1, '61345a948fd53813'),
     'tree5-rank1 star auto': (0, 3, '83594c54f3981309'),
     'tree5-rank1 star exact': (0, 3, 'a0ea93c8c3ddb886'),
     'tree5-rank1 star bounds': (0, 3, '10a97ab384aca73f'),
@@ -243,7 +251,68 @@ DECOMPOSE = [
 ]
 
 
+def _wide11() -> DissimilarityMatrix:
+    # Mixed denominators, and indices past 9, which print as x1,10.
+    rng = random.Random(404)
+    return DissimilarityMatrix.from_function(
+        11, lambda i, j: Fraction(rng.randint(0, 9), rng.choice((1, 2, 3)))
+    )
+
+
+GENERATED = {"tr6": lambda: generate("tr6"), "wide11": _wide11}
+
+# `deficiency --basis B --format F` on a symmetric loop case (sym3-infinite),
+# rationals, the 9x9 `tr6` example and an 11x11 dissimilarity:
+# "input basis format" -> (exit code, stdout sha256[:16]).
+DEFICIENCY_PINS = {
+    'sym3-rank1 symmetric-minors json': (0, '7903b062c823572a'),
+    'sym3-rank1 symmetric-minors dot': (0, '32c7b69f38e13c88'),
+    'sym3-infinite symmetric-minors json': (0, '521470575926f73b'),
+    'sym3-infinite symmetric-minors dot': (0, 'f394040c049ac316'),
+    'sym4-rational symmetric-minors json': (0, 'd84575814efa569d'),
+    'sym4-rational symmetric-minors dot': (0, '485eaf44f8800848'),
+    'sym6 symmetric-minors json': (0, '66a6296cc5a41005'),
+    'sym6 symmetric-minors dot': (0, '95e9d5de6c503ef3'),
+    'star5-rank2 star-tree json': (0, 'cefcdd316dce23ba'),
+    'star5-rank2 star-tree dot': (0, 'c1b308fc9f19485f'),
+    'star5-rank2 pluecker json': (0, '648a06414ca9dff3'),
+    'star5-rank2 pluecker dot': (0, '91226d0036725800'),
+    'tree7 star-tree json': (0, '70721164bde5d0b9'),
+    'tree7 star-tree dot': (0, 'b9414f8e89be943d'),
+    'tree7 pluecker json': (0, '98ca7a0baf8006df'),
+    'tree7 pluecker dot': (0, 'a14509dacf8f2fed'),
+    'tree7 symmetric-minors json': (2, 'e3b0c44298fc1c14'),
+    'tree7 symmetric-minors dot': (2, 'e3b0c44298fc1c14'),
+    'tr6 star-tree json': (0, 'a0468e674460b1c5'),
+    'tr6 star-tree dot': (0, '805b5c6cbcd31490'),
+    'tr6 pluecker json': (0, '7f6ea37ee05f7c86'),
+    'tr6 pluecker dot': (0, 'a35d32c463ab58fb'),
+    'wide11 star-tree json': (0, '65f5a2a1639c853e'),
+    'wide11 star-tree dot': (0, '2ddda248d0428b63'),
+    'wide11 pluecker json': (0, '58fff85d0ae3fae6'),
+    'wide11 pluecker dot': (0, '50b30994133ec57f'),
+}
+
+DEFICIENCY = [
+    (name, basis, fmt)
+    for name, bases in (
+        ("sym3-rank1", ("symmetric-minors",)),
+        ("sym3-infinite", ("symmetric-minors",)),
+        ("sym4-rational", ("symmetric-minors",)),
+        ("sym6", ("symmetric-minors",)),
+        ("star5-rank2", ("star-tree", "pluecker")),
+        ("tree7", ("star-tree", "pluecker", "symmetric-minors")),
+        ("tr6", ("star-tree", "pluecker")),
+        ("wide11", ("star-tree", "pluecker")),
+    )
+    for basis in bases
+    for fmt in ("json", "dot")
+]
+
+
 def _matrix_text(name: str) -> str:
+    if name in GENERATED:
+        return serialize_matrix(GENERATED[name]())
     rows = MATRICES[name]
     kind = "symmetric" if name.startswith("sym") else "dissimilarity"
     lines = [f"{kind} {len(rows)}"]
@@ -277,6 +346,13 @@ def test_decompose_is_pinned(tmp_path, capsys, name, notion, minimize):
     code, out = _run(tmp_path, capsys, argv, name)
     key = " ".join((name, notion, "decompose") + (("--minimize",) if minimize else ()))
     assert _pin(code, out) == PINS[key]
+
+
+@pytest.mark.parametrize("name,basis,fmt", DEFICIENCY)
+def test_deficiency_is_pinned(tmp_path, capsys, name, basis, fmt):
+    code, out = _run(tmp_path, capsys, ["deficiency", "--basis", basis, "--format", fmt], name)
+    digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+    assert (code, digest) == DEFICIENCY_PINS[" ".join((name, basis, fmt))]
 
 
 def test_library_matches_cli(tmp_path, capsys):

@@ -14,6 +14,7 @@ from troprank.core import (
     frac,
     principal_submatrix,
     project,
+    quartets,
     rank_one_symmetric,
 )
 from troprank.decomposition import (
@@ -24,16 +25,17 @@ from troprank.decomposition import (
     star_summand,
     verify,
 )
-from troprank.generators import tr6_blocks, tr6_matrix
+from troprank.generators import generate, tr6_blocks, tr6_matrix
 from troprank.membership import PLUECKER, is_tree_matrix
 from troprank.deficiency import build_deficiency, chromatic_number
 from troprank.rank import (
     CertificateError,
     _AssignmentSearcher,
+    _upper_for_search,
     _binary_topologies,
     _forced_splits,
-    _quartets,
     block_matrix,
+    compute_rank,
     exact_rank,
     finiteness_violation,
     normalize_diagonal,
@@ -41,6 +43,7 @@ from troprank.rank import (
     symmetric_rank_finite,
     symmetric_upper_decomposition,
     tree_upper_decomposition,
+    upper_size,
 )
 
 from conftest import (
@@ -405,7 +408,7 @@ class TestQuartetPruning:
         for topology in topologies:
             weights = [Fraction(-1) if u > n else Fraction(3) for u, _ in topology.edges]
             d = topology.build_tree(n, weights).leaf_distance_matrix()
-            for pairings, code in zip(_quartets(n), topology.splits):
+            for pairings, code in zip(quartets(n), topology.splits):
                 sums = [d[a] + d[b] for a, b in pairings]
                 assert sums[code] > max(s for k, s in enumerate(sums) if k != code)
 
@@ -434,6 +437,50 @@ class TestQuartetPruning:
                 assert searcher._tree_witness(cls) == unpruned
                 forced_witnesses += bool(forced) and unpruned is not None
         assert rejected > 100 and forced_witnesses > 0
+
+
+class TestUpperSize:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_construction_has_the_size_of_n(self, n):
+        rng = random.Random(900 + n)
+        m = random_finite_symmetric(rng, n)
+        assert len(_upper_for_search(m, SYM)) == upper_size(SYM, n)
+        if n >= 3:
+            d = random_dissimilarity(rng, n, 0, 6)
+            assert len(_upper_for_search(d, STAR)) == upper_size(STAR, n)
+            assert len(_upper_for_search(d, TREE)) == upper_size(TREE, n)
+
+    def test_size_mismatch_raises(self, monkeypatch):
+        # A raise, not an assert, so the check also runs under python -O.
+        import troprank.upper as upper_module
+
+        monkeypatch.setattr(upper_module, "upper_size", lambda notion, n: n)
+        m = random_dissimilarity(random.Random(3), 5, 0, 6)
+        with pytest.raises(CertificateError):
+            _upper_for_search(m, STAR)
+
+    def test_search_below_the_size_skips_the_construction(self, monkeypatch):
+        import troprank.rank as rank_module
+
+        def refuse(m, notion):
+            raise AssertionError("constructed an upper bound the search beat")
+
+        m = random_dissimilarity(random.Random(2), 7, 0, 3)
+        expected = exact_rank(m, TREE)
+        assert expected.value < upper_size(TREE, 7)
+        monkeypatch.setattr(rank_module, "_upper_for_search", refuse)
+        assert exact_rank(m, TREE).to_json_dict() == expected.to_json_dict()
+
+    def test_bounds_certify_rank_one(self):
+        cases = [
+            (SYM, rank_one_symmetric([1, frac("1/2"), 3, 0])),
+            (STAR, project(rank_one_symmetric([2, 0, 5, 1, 4, 3]))),
+            (TREE, generate("min", 6)),
+        ]
+        for notion, m in cases:
+            result = compute_rank(m, notion, "bounds")
+            assert (result.status, result.value, len(result.decomposition)) == ("finite", 1, 1)
+            assert verify(m, result.decomposition)
 
 
 class TestCertificateChecks:

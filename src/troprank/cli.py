@@ -3,7 +3,9 @@
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 for a
 determination, 1 when `verify` rejects a decomposition, 2 for usage or
 parse errors, 3 when only an interval could be certified, 4 for infinite
-rank (a determination scripts can branch on).
+rank (a determination scripts can branch on), 5 when an internal check
+fails (any `RuntimeError`: `CertificateError`, `ConstructionError`,
+`RecursionError`), with `error: ...` on stderr.
 
 `rank` only parses and emits; the file-kind check and the method dispatch
 live in `troprank.rank.compute_rank`.
@@ -41,8 +43,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INTERVAL = 3
 EXIT_INFINITE = 4
-
-NOTION_ALIASES = {"sym": SYM, "star": STAR, "tree": TREE}
+EXIT_INTERNAL = 5
 
 
 def _emit(payload: dict) -> None:
@@ -56,7 +57,7 @@ def _load(path: str) -> Matrix:
 
 def cmd_rank(args) -> int:
     m = _load(args.file)
-    result = compute_rank(m, NOTION_ALIASES[args.notion], args.method, args.budget)
+    result = compute_rank(m, args.notion, args.method, args.budget)
     payload = result.to_json_dict()
     if args.no_certificates:
         payload.pop("decomposition", None)
@@ -66,7 +67,7 @@ def cmd_rank(args) -> int:
 
 def cmd_decompose(args) -> int:
     m = _load(args.file)
-    notion = NOTION_ALIASES[args.notion]
+    notion = args.notion
     check_space(m, notion)
     if args.minimize:
         result = exact_rank(m, notion)
@@ -120,7 +121,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_dimension(args) -> int:
-    notion = NOTION_ALIASES[args.notion]
+    notion = args.notion
     if args.grid:
         rows = []
         for n in range(3, args.n + 1):
@@ -201,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="compute a rank with certificates")
     p.add_argument("file", help="matrix file ('-' for stdin)")
-    p.add_argument("--notion", required=True, choices=sorted(NOTION_ALIASES))
+    p.add_argument("--notion", required=True, choices=sorted(NOTIONS))
     p.add_argument("--method", default="auto", choices=METHODS)
     p.add_argument("--budget", type=int, default=None, help="largest rank to search")
     p.add_argument(
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="emit a verified decomposition")
     p.add_argument("file")
-    p.add_argument("--notion", required=True, choices=sorted(NOTION_ALIASES))
+    p.add_argument("--notion", required=True, choices=sorted(NOTIONS))
     p.add_argument(
         "--minimize",
         action="store_true",
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("dimension", help="dimension formula vs sampled local dimension")
-    p.add_argument("--notion", required=True, choices=sorted(NOTION_ALIASES))
+    p.add_argument("--notion", required=True, choices=sorted(NOTIONS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--sample", type=int, default=10, help="sampling trials")
@@ -275,6 +276,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -115,6 +115,28 @@ def _sample(notion: str, n: int, r: int, rng: random.Random):
     return _tree_sample(n, r, rng)
 
 
+def _rank_one_candidates(
+    positions: list[Position], index: dict[tuple[int, int], int], r: int, big: Fraction
+) -> dict[Position, list[Candidate]]:
+    """Entry (i, j) of summand k is theta[index[k, i]] + theta[index[k, j]];
+    a summand k has no coordinate t < k, which counts as the constant `big`."""
+    candidates: dict[Position, list[Candidate]] = {}
+    for i, j in positions:
+        lst: list[Candidate] = []
+        for k in range(1, r + 1):
+            coeffs: dict[int, int] = {}
+            const = Fraction(0)
+            for t in (i, j):
+                if t < k:
+                    const += big
+                else:
+                    key = index[(k, t)]
+                    coeffs[key] = coeffs.get(key, 0) + 1
+            lst.append((coeffs, const))
+        candidates[(i, j)] = lst
+    return candidates
+
+
 def _sym_sample(n: int, r: int, rng: random.Random):
     r_eff = min(r, n)
     unit = 1000
@@ -126,21 +148,7 @@ def _sym_sample(n: int, r: int, rng: random.Random):
             index[(k, i)] = len(theta)
             theta.append(Fraction(rng.randrange(scale, 2 * scale)))
     big = Fraction(unit * 100 ** (r_eff + 2))
-    candidates: dict[Position, list[Candidate]] = {}
-    for i, j in symmetric_positions(n):
-        lst: list[Candidate] = []
-        for k in range(1, r_eff + 1):
-            coeffs: dict[int, int] = {}
-            const = Fraction(0)
-            for t in (i, j):
-                if t < k:
-                    const += big
-                else:
-                    key = index[(k, t)]
-                    coeffs[key] = coeffs.get(key, 0) + 1
-            lst.append((coeffs, const))
-        candidates[(i, j)] = lst
-    return theta, candidates
+    return theta, _rank_one_candidates(symmetric_positions(n), index, r_eff, big)
 
 
 def _star_sample(n: int, r: int, rng: random.Random):
@@ -164,21 +172,7 @@ def _star_sample(n: int, r: int, rng: random.Random):
                 value = 2 + Fraction(rng.randrange(1, 1008), 1009)
             theta.append(value)
     big = Fraction(unit * 100 ** (r_eff + 3))
-    candidates: dict[Position, list[Candidate]] = {}
-    for i, j in offdiag_positions(n):
-        lst: list[Candidate] = []
-        for k in range(1, r_eff + 1):
-            coeffs: dict[int, int] = {}
-            const = Fraction(0)
-            for t in (i, j):
-                if t < k:
-                    const += big
-                else:
-                    key = index[(k, t)]
-                    coeffs[key] = coeffs.get(key, 0) + 1
-            lst.append((coeffs, const))
-        candidates[(i, j)] = lst
-    return theta, candidates
+    return theta, _rank_one_candidates(offdiag_positions(n), index, r_eff, big)
 
 
 def _tree_sample(n: int, r: int, rng: random.Random):
@@ -249,17 +243,7 @@ def _caterpillar_candidates(
             coeffs[q[t]] = coeffs.get(q[t], 0) + 1
         return (coeffs, Fraction(0))
 
-    out: dict[Position, list[Candidate]] = {}
-    for i, j in offdiag_positions(n):
-        if (i, j) == (1, 2):
-            out[(i, j)] = [path(1, 2)]
-        elif i == 1:
-            out[(i, j)] = [path(1, j)]
-        elif i == 2:
-            out[(i, j)] = [path(2, j)]
-        else:
-            out[(i, j)] = [path(i, j)]
-    return out
+    return {(i, j): [path(i, j)] for i, j in offdiag_positions(n)}
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ elimination plus Fourier-Motzkin, and a two-variable-per-inequality solver.
 No tolerances anywhere.  Linear feasibility scales each rational row to
 integers and eliminates fraction-free (each combination divided by its
 gcd), so its inner loops run on ints and only the returned point is
-Fraction; the two-variable solver also relaxes on integers.  Sizes are
-tiny (at most a few dozen variables), so clarity beats asymptotics.
+Fraction.  The two-variable solver takes integer constants only (callers
+scale the matrix with `scaled_to_integers`) and returns its model times
+two, all ints.  Sizes are tiny (at most a few dozen variables), so
+clarity beats asymptotics.
 """
 
 from __future__ import annotations
@@ -195,51 +197,34 @@ def _fourier_motzkin_point(
 
 
 class TwoVarSystem:
-    """Constraints of the forms x_i + x_j >= c, x_i + x_j <= c, x_i >= c,
-    x_i <= c, solved exactly by negative-cycle detection.
+    """Constraints x_i + x_j >= c and x_i + x_j <= c (2 x_i for i == j) with
+    integer constants, solved exactly by negative-cycle detection.
 
     Nodes 2i and 2i+1 stand for +x_i and -x_i; an edge p -> q of weight w
-    encodes phi(q) <= phi(p) + w for the potential phi(+x) = x. A model is
+    encodes phi(q) <= phi(p) + w for the potential phi(+x) = x.  A model is
     read off Bellman-Ford distances as x_i = (d(+x_i) - d(-x_i)) / 2.
+    `edges` seeds the system with the edges of another one.
     """
 
-    def __init__(self, nvars: int):
+    def __init__(self, nvars: int, edges: Sequence[tuple[int, int, int]] = ()):
         self.nvars = nvars
-        self.edges: list[tuple[int, int, Fraction]] = []
+        self.edges: list[tuple[int, int, int]] = list(edges)
 
-    def _pos(self, i: int) -> int:
-        return 2 * i
+    def add_sum_ge(self, i: int, j: int, c: int) -> None:
+        self.edges.append((2 * i, 2 * j + 1, -c))
+        if i != j:
+            self.edges.append((2 * j, 2 * i + 1, -c))
 
-    def _neg(self, i: int) -> int:
-        return 2 * i + 1
+    def add_sum_le(self, i: int, j: int, c: int) -> None:
+        self.edges.append((2 * i + 1, 2 * j, c))
+        if i != j:
+            self.edges.append((2 * j + 1, 2 * i, c))
 
-    def add_sum_ge(self, i: int, j: int, c: Fraction) -> None:
-        if i == j:
-            # 2 x_i >= c
-            self.edges.append((self._pos(i), self._neg(i), -c))
-            return
-        self.edges.append((self._pos(i), self._neg(j), -c))
-        self.edges.append((self._pos(j), self._neg(i), -c))
-
-    def add_sum_le(self, i: int, j: int, c: Fraction) -> None:
-        if i == j:
-            self.edges.append((self._neg(i), self._pos(i), c))
-            return
-        self.edges.append((self._neg(i), self._pos(j), c))
-        self.edges.append((self._neg(j), self._pos(i), c))
-
-    def add_sum_eq(self, i: int, j: int, c: Fraction) -> None:
-        self.add_sum_ge(i, j, c)
-        self.add_sum_le(i, j, c)
-
-    def solve(self) -> Optional[list[Fraction]]:
-        """A satisfying assignment, or None when a negative cycle exists."""
+    def solve(self) -> Optional[list[int]]:
+        """A model times two, [2 x_0, ..., 2 x_{n-1}], or None when a
+        negative cycle exists."""
+        edges = self.edges
         node_count = 2 * self.nvars
-        # Clear denominators once so relaxation runs on integers.
-        lcm = 1
-        for _, _, w in self.edges:
-            lcm = lcm * w.denominator // gcd(lcm, w.denominator)
-        edges = [(p, q, int(w * lcm)) for p, q, w in self.edges]
         dist = [0] * node_count
         for sweep in range(node_count):
             changed = False
@@ -254,7 +239,4 @@ class TwoVarSystem:
             for p, q, w in edges:
                 if dist[p] + w < dist[q]:
                     return None
-        return [
-            Fraction(dist[self._pos(i)] - dist[self._neg(i)], 2 * lcm)
-            for i in range(self.nvars)
-        ]
+        return [dist[2 * i] - dist[2 * i + 1] for i in range(self.nvars)]

@@ -11,21 +11,20 @@ entries:
 
 `basis_for(name, n)` returns a basis as a cached relation table: a
 relation is a tuple of terms, a term a sorted pair of positions (one
-position twice for a square such as x12^2).  `TropicalMonomial` carries
-the higher-degree terms of the 5x5 closed forms.
+position twice for a square such as x12^2).  The degree-5 terms of the
+5x5 closed forms are sorted position tuples too (`small_cases.PENTAGONS`,
+`small_cases.TRIANGLES`); `term_label` names any of them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     DissimilarityMatrix,
-    Matrix,
     Pairing,
     Position,
     SymmetricMatrix,
@@ -52,29 +51,6 @@ def term_label(positions: Sequence[Position]) -> str:
         name = f"x{p[0]}{p[1]}" if p[0] <= 9 and p[1] <= 9 else f"x{p[0]},{p[1]}"
         parts.append(name + (f"^{e}" if e > 1 else ""))
     return "*".join(parts)
-
-
-@dataclass(frozen=True)
-class TropicalMonomial:
-    """A sum of exponent * coordinate over the listed positions."""
-
-    exponents: tuple[tuple[Position, int], ...]
-
-    @classmethod
-    def from_positions(cls, positions: Iterable[Position]) -> "TropicalMonomial":
-        counts: dict[Position, int] = {}
-        for p in positions:
-            counts[p] = counts.get(p, 0) + 1
-        return cls(tuple(sorted(counts.items())))
-
-    def positions(self) -> tuple[Position, ...]:
-        return tuple(p for p, _ in self.exponents)
-
-    def evaluate(self, m: Matrix) -> Fraction:
-        return sum((m[p] * e for p, e in self.exponents), Fraction(0))
-
-    def label(self) -> str:
-        return term_label([p for p, e in self.exponents for _ in range(e)])
 
 
 def _sym_pos(i: int, j: int) -> Position:
@@ -190,7 +166,6 @@ __all__ = [
     "PLUECKER",
     "STAR_TREE",
     "SYMMETRIC_MINORS",
-    "TropicalMonomial",
     "basis_for",
     "is_rank1_symmetric",
     "is_star_tree",

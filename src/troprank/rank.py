@@ -377,9 +377,15 @@ class _AssignmentSearcher:
                 self.adj_mask[self.index[p]] |= 1 << self.index[q]
         self.feasible_cache: dict[frozenset, Optional[ClassWitness]] = {}
         self.eager = notion in (SYM, STAR)
-        # Tree slots work on the entries times `scale`, all integers; a
-        # tree LP's point is divided by `scale` again.
+        # Slot checks work on the entries times `scale`, all integers; a
+        # witness is divided by `scale` again.
         self.scale, self.values = m.scaled_to_integers()
+        # Every generator dominates the target: the ">= entry" edges that
+        # each two-variable slot system starts from.
+        dominates = TwoVarSystem(m.n)
+        for (i, j), value in self.values.items():
+            dominates.add_sum_ge(i - 1, j - 1, value)
+        self.dominance_edges = dominates.edges
 
     def search(self, r: int) -> Optional[list[ClassWitness]]:
         order = self.order
@@ -427,15 +433,13 @@ class _AssignmentSearcher:
         return witness
 
     def _sum_witness(self, cls: frozenset) -> Optional[ClassWitness]:
-        system = TwoVarSystem(self.m.n)
-        for (i, j), value in self.m.items():
-            system.add_sum_ge(i - 1, j - 1, value)
+        system = TwoVarSystem(self.m.n, self.dominance_edges)
         for i, j in cls:
-            system.add_sum_le(i - 1, j - 1, self.m[(i, j)])
-        solution = system.solve()
-        if solution is None:
+            system.add_sum_le(i - 1, j - 1, self.values[(i, j)])
+        doubled = system.solve()
+        if doubled is None:
             return None
-        return ("vector", tuple(solution))
+        return ("vector", tuple(Fraction(d, 2 * self.scale) for d in doubled))
 
     def _tree_witness(self, cls: frozenset) -> Optional[ClassWitness]:
         forced = _forced_splits(self.m.n, self.values, cls)

@@ -8,6 +8,12 @@ terms x_ab x_bc x_ca x_de^2.  In both cases the matrix has rank 2 exactly
 when the minimum lands on a suitably-shaped term, and a relabeling search
 (120 permutations at most) replaces the "without loss of generality"
 normalizations.
+
+The terms are module-level tables (`PENTAGONS`, `TRIANGLES`), each term a
+tuple of sorted positions with a squared entry listed twice.  Minimizers
+and the relabeled inequalities are decided in integer sums on
+`scaled_to_integers()`, which keeps every tie; only the certificates are
+built in Fraction.
 """
 
 from __future__ import annotations
@@ -39,12 +45,7 @@ from .decomposition import (
     tree_summand,
     verified_padded,
 )
-from .membership import (
-    TropicalMonomial,
-    is_star_tree,
-    is_tree_matrix,
-    is_tropically_singular_3x3,
-)
+from .membership import is_star_tree, is_tree_matrix, is_tropically_singular_3x3
 from .deficiency import FIVE_CYCLE, classify_petersen
 from .trees import embed_tree_block, realize_tree
 from .upper import (
@@ -55,83 +56,55 @@ from .upper import (
     symmetric_upper_decomposition,
 )
 
-PENTAGON = "pentagon"
-TRIANGLE = "triangle"
+Term = tuple[Position, ...]  # a product of entries, as its sorted positions
 
 
 def _edge(i: int, j: int) -> Position:
     return (i, j) if i < j else (j, i)
 
 
-def _five_cycles() -> list[frozenset[Position]]:
-    seen = set()
+def _pentagons() -> tuple[Term, ...]:
     out = []
     for perm in itertools.permutations((2, 3, 4, 5)):
         cycle = (1,) + perm
-        edges = frozenset(
-            _edge(cycle[k], cycle[(k + 1) % 5]) for k in range(5)
-        )
-        if edges not in seen:
-            seen.add(edges)
-            out.append(edges)
-    assert len(out) == 12
-    return out
+        term = tuple(sorted(_edge(cycle[k], cycle[(k + 1) % 5]) for k in range(5)))
+        if term not in out:
+            out.append(term)
+    return tuple(out)
 
 
-FIVE_CYCLES: tuple[frozenset[Position], ...] = tuple(_five_cycles())
+# The 12 pentagon terms, one per 5-cycle on the labels 1..5.
+PENTAGONS: tuple[Term, ...] = _pentagons()
 
 
-@dataclass(frozen=True)
-class PolynomialTerm:
-    kind: str  # pentagon | triangle
-    monomial: TropicalMonomial
-
-    def label(self) -> str:
-        return f"{self.kind}:{self.monomial.label()}"
-
-
-def pentad_terms() -> list[PolynomialTerm]:
-    """The 12 pentagon terms, one per 5-cycle on the labels 1..5."""
-    return [
-        PolynomialTerm(PENTAGON, TropicalMonomial.from_positions(sorted(edges)))
-        for edges in FIVE_CYCLES
-    ]
+def _triangles() -> tuple[Term, ...]:
+    out = []
+    for a, b, c in itertools.combinations(range(1, 6), 3):
+        d, e = sorted({1, 2, 3, 4, 5} - {a, b, c})
+        out.append(tuple(sorted([(a, b), (b, c), (a, c), (d, e), (d, e)])))
+    return tuple(out)
 
 
-def p22_terms() -> list[PolynomialTerm]:
-    """The 22 degree-5 terms in which every label appears exactly twice."""
-    terms = pentad_terms()
-    for trio in itertools.combinations(range(1, 6), 3):
-        a, b, c = trio
-        d, e = sorted(set(range(1, 6)) - set(trio))
-        positions = [_edge(a, b), _edge(b, c), _edge(a, c), (d, e), (d, e)]
-        terms.append(PolynomialTerm(TRIANGLE, TropicalMonomial.from_positions(positions)))
-    assert len(terms) == 22
-    return terms
+# The ten triangle terms x_ab x_bc x_ca x_de^2 that extend the pentagons to
+# the 22 degree-5 terms in which every label appears exactly twice.
+TRIANGLES: tuple[Term, ...] = _triangles()
 
 
-@dataclass(frozen=True)
-class TermEvaluation:
-    terms: tuple[PolynomialTerm, ...]
-    values: tuple[Fraction, ...]
-
-    @property
-    def minimum(self) -> Fraction:
-        return min(self.values)
-
-    def minimizers(self) -> list[PolynomialTerm]:
-        lo = self.minimum
-        return [t for t, v in zip(self.terms, self.values) if v == lo]
+def _minimizers(terms: Sequence[Term], values: dict[Position, int]) -> list[Term]:
+    """The terms attaining the least sum of `values` over their positions."""
+    sums = [sum(values[p] for p in term) for term in terms]
+    low = min(sums)
+    return [term for term, total in zip(terms, sums) if total == low]
 
 
-def evaluate_pentad(m: DissimilarityMatrix) -> TermEvaluation:
-    terms = tuple(pentad_terms())
-    return TermEvaluation(terms, tuple(t.monomial.evaluate(m) for t in terms))
+def _triangle_minimizers(values: dict[Position, int]) -> list[Term]:
+    """Triangle terms attaining the minimum of the 22-term polynomial."""
+    return [t for t in _minimizers(PENTAGONS + TRIANGLES, values) if t in TRIANGLES]
 
 
-def evaluate_p22(m: DissimilarityMatrix) -> TermEvaluation:
-    terms = tuple(p22_terms())
-    return TermEvaluation(terms, tuple(t.monomial.evaluate(m) for t in terms))
+def _relabeled(values: dict[Position, int], perm: Sequence[int]) -> dict[Position, int]:
+    """`apply_permutation` on an integer table: {i, j} moves to {perm i, perm j}."""
+    return {_edge(perm[i - 1], perm[j - 1]): v for (i, j), v in values.items()}
 
 
 # --- 3x3 symmetric ----------------------------------------------------------
@@ -231,8 +204,8 @@ def star5_rank2_test(m: DissimilarityMatrix) -> tuple[bool, Optional[Star5Witnes
         raise ValueError("this classifier handles n = 5 only")
     if is_star_tree(m):
         return True, Star5Witness(trivial=True)
-    evaluation = evaluate_pentad(m)
-    minimizers = [frozenset(t.monomial.positions()) for t in evaluation.minimizers()]
+    _, values = m.scaled_to_integers()
+    minimizers = [frozenset(t) for t in _minimizers(PENTAGONS, values)]
     canon = {CANONICAL_PENTAGON, CANONICAL_SWAPPED}
     for t1, t2 in itertools.combinations(minimizers, 2):
         if not differ_by_transposition(t1, t2):
@@ -240,7 +213,7 @@ def star5_rank2_test(m: DissimilarityMatrix) -> tuple[bool, Optional[Star5Witnes
         for perm in itertools.permutations(range(1, 6)):
             if {_relabel_edges(t1, perm), _relabel_edges(t2, perm)} != canon:
                 continue
-            mm = apply_permutation(m, perm)
+            mm = _relabeled(values, perm)
             lhs = mm[(1, 4)] + mm[(2, 3)]
             a1 = mm[(1, 2)] + mm[(3, 4)]
             a2 = mm[(1, 3)] + mm[(2, 4)]
@@ -305,7 +278,7 @@ class Tree5Result:
     value: int
     decomposition: Optional[Decomposition]
     five_cycle: Optional[tuple[frozenset[Position], ...]] = None
-    triangle: Optional[PolynomialTerm] = None
+    triangle: Optional[Term] = None
 
 
 def tree5_rank(m: DissimilarityMatrix) -> Tree5Result:
@@ -320,8 +293,8 @@ def tree5_rank(m: DissimilarityMatrix) -> Tree5Result:
     dec = one_summand(m, TREE)
     if dec is not None:
         return Tree5Result(1, dec)
-    evaluation = evaluate_p22(m)
-    triangles = [t for t in evaluation.minimizers() if t.kind == TRIANGLE]
+    _, values = m.scaled_to_integers()
+    triangles = _triangle_minimizers(values)
     if triangles:
         dec = tree5_rank2_decompose(m, triangles[0])
         return Tree5Result(2, dec, triangle=triangles[0])
@@ -332,7 +305,7 @@ def tree5_rank(m: DissimilarityMatrix) -> Tree5Result:
 
 
 def tree5_rank2_decompose(
-    m: DissimilarityMatrix, triangle: Optional[PolynomialTerm] = None
+    m: DissimilarityMatrix, triangle: Optional[Term] = None
 ) -> Decomposition:
     """Two tree summands when the 22-term polynomial picks a triangle.
 
@@ -341,13 +314,13 @@ def tree5_rank2_decompose(
     completion entries forced by equality on rows 1 and 2, and pairs the
     result with an extension of the {3,4,5} block.
     """
+    _, values = m.scaled_to_integers()
     if triangle is None:
-        evaluation = evaluate_p22(m)
-        candidates = [t for t in evaluation.minimizers() if t.kind == TRIANGLE]
+        candidates = _triangle_minimizers(values)
         if not candidates:
             raise ValueError("no triangle term minimizes the polynomial")
         triangle = candidates[0]
-    doubled = next(p for p, e in triangle.monomial.exponents if e == 2)
+    doubled = next(p for p in triangle if triangle.count(p) == 2)
     trio = tuple(sorted(set(range(1, 6)) - set(doubled)))
     perm_found = None
     for trio_image in itertools.permutations((3, 4, 5)):
@@ -357,7 +330,7 @@ def tree5_rank2_decompose(
                 perm[src - 1] = dst
             for src, dst in zip(sorted(doubled), pair_image):
                 perm[src - 1] = dst
-            mm = apply_permutation(m, tuple(perm))
+            mm = _relabeled(values, perm)
             ok_b = mm[(1, 5)] + mm[(2, 4)] <= mm[(1, 4)] + mm[(2, 5)]
             ok_c = mm[(1, 3)] + mm[(2, 5)] <= mm[(1, 5)] + mm[(2, 3)]
             if ok_b and ok_c:

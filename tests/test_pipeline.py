@@ -9,7 +9,10 @@ byte for byte.  `compute_rank(...).to_json_dict()` must print the same JSON.
 The four `bounds` pins of rank-one inputs (sym3-rank1 sym, star5-rank1 star
 and tree, tree5-rank1 tree) give rank 1: `bounds` tries the one-summand
 certificate whenever χ = 1.  The `deficiency` pins were recorded before the
-bases became relation tables.
+bases became relation tables.  The `*-rational` pins (entry denominators 1,
+2 and 3) and the `dimension --grid` pins were recorded before the sum-slot
+systems and the 5x5 closed forms moved to integer entry: every other input
+is an integer matrix, which cannot catch a wrong denominator.
 """
 
 import ast
@@ -22,9 +25,9 @@ from pathlib import Path
 import pytest
 
 from troprank import compute_rank
-from troprank.cli import NOTION_ALIASES, main
+from troprank.cli import EXIT_INTERNAL, main
 from troprank.core import DissimilarityMatrix
-from troprank.decomposition import TREE
+from troprank.decomposition import NOTIONS, TREE, CertificateError, ConstructionError
 from troprank.generators import generate
 from troprank.matrixio import parse_matrix, serialize_matrix
 from troprank.rank import exact_rank
@@ -80,6 +83,24 @@ MATRICES = {
         [0, 2, 3, _, 2, 1, 2], [1, 3, 0, 2, _, 0, 1], [1, 1, 0, 1, 0, _, 3],
         [1, 3, 2, 2, 1, 3, _],
     ],
+    # Entry denominators 1, 2 and 3 (scale 6): `exact` emits a search
+    # witness (rank below `upper_size`), `auto` a closed-form certificate.
+    "sym5-rational": [
+        [0, 1, 1, 4, "7/3"], [1, 0, 4, 1, "1/2"], [1, 4, 2, 3, 4],
+        [4, 1, 3, 2, 2], ["7/3", "1/2", 4, 2, "1/3"],
+    ],
+    "star6-rational": [
+        [_, 3, 1, 0, 1, "7/2"], [3, _, 1, "3/2", 1, 2], [1, 1, _, 3, "10/3", 1],
+        [0, "3/2", 3, _, "11/3", "1/2"], [1, 1, "10/3", "11/3", _, "5/3"], ["7/2", 2, 1, "1/2", "5/3", _],
+    ],
+    "star5-rational": [
+        [_, 1, "3/2", 1, 2], [1, _, 3, "10/3", 1], ["3/2", 3, _, "11/3", "1/2"],
+        [1, "10/3", "11/3", _, "5/3"], [2, 1, "1/2", "5/3", _],
+    ],
+    "tree5-rational": [
+        [_, "3/2", "1/3", 0, 0], ["3/2", _, "8/3", 3, 1], ["1/3", "8/3", _, 0, 1],
+        [0, 3, 0, _, "7/2"], [0, 1, 1, "7/2", _],
+    ],
 }
 
 NOTIONS_OF = {
@@ -108,6 +129,27 @@ PINS = {
     'sym4-rational sym auto': (0, 4, '2948c0cbd5e05551'),
     'sym4-rational sym exact': (0, 4, '2948c0cbd5e05551'),
     'sym4-rational sym bounds': (0, 4, '38a82f1fbd9f4fde'),
+    'sym5-rational sym auto': (0, 5, '1701b130b66799a7'),
+    'sym5-rational sym exact': (0, 5, '1701b130b66799a7'),
+    'sym5-rational sym bounds': (3, None, 'f6723de53a9e76ef'),
+    'star6-rational star auto': (0, 3, '2e863bd2f523377d'),
+    'star6-rational star exact': (0, 3, '2e863bd2f523377d'),
+    'star6-rational star bounds': (3, None, 'a896fd6e1c2c96bf'),
+    'star6-rational tree auto': (0, 3, '0c713fd6d351a52c'),
+    'star6-rational tree exact': (0, 3, '0c713fd6d351a52c'),
+    'star6-rational tree bounds': (0, 3, '36f4d1f397a96daf'),
+    'star5-rational star auto': (0, 2, 'db86c1d52d605845'),
+    'star5-rational star exact': (0, 2, '116f95bedb0691c3'),
+    'star5-rational star bounds': (3, None, '341c4e005ebf8930'),
+    'star5-rational tree auto': (0, 2, '8acf86dc2b1f318a'),
+    'star5-rational tree exact': (0, 2, '9067641354fe3b09'),
+    'star5-rational tree bounds': (3, None, '8d31239a759d2693'),
+    'tree5-rational tree auto': (0, 2, '2e20df532d00514c'),
+    'tree5-rational tree exact': (0, 2, '9371342a170bb02b'),
+    'tree5-rational tree bounds': (3, None, '85d8c776a6114c55'),
+    'tree5-rational star auto': (0, 3, 'da21e7e35563f9ff'),
+    'tree5-rational star exact': (0, 3, '7fe6e3cc463da500'),
+    'tree5-rational star bounds': (0, 3, '4fe1762c6b7bde8d'),
     'star5-rank1 star auto': (0, 1, 'ddd3bff25135283c'),
     'star5-rank1 star exact': (0, 1, 'cc27f3baca720db4'),
     'star5-rank1 star bounds': (0, 1, 'd18a94d064bb8dda'),
@@ -219,12 +261,21 @@ PINS = {
     'tree7 tree decompose --minimize': (0, '-', '49b201836336b81c'),
 }
 
-RUNS = [
-    (name, notion, method, ())
-    for name in MATRICES
-    for notion in NOTIONS_OF[name.split("-")[0].rstrip("0123456789")]
-    for method in ("auto", "exact", "bounds")
-] + [
+RATIONAL = ["sym5-rational", "star6-rational", "star5-rational", "tree5-rational"]
+
+
+def _routes(names):
+    return [
+        (name, notion, method, ())
+        for name in names
+        for notion in NOTIONS_OF[name.split("-")[0].rstrip("0123456789")]
+        for method in ("auto", "exact", "bounds")
+    ]
+
+
+# The rational routes come last so that the earlier test ids keep their
+# positional suffixes.
+RUNS = _routes(name for name in MATRICES if name not in RATIONAL) + [
     ("star7", "star", "auto", ("--budget", "1")),
     ("star7", "star", "exact", ("--budget", "1")),
     ("tree7", "tree", "auto", ("--budget", "1")),
@@ -232,7 +283,7 @@ RUNS = [
     ("sym6", "sym", "auto", ("--no-certificates",)),
     ("star5-rank2", "sym", "auto", ()),
     ("sym3-rank2", "tree", "bounds", ()),
-]
+] + _routes(RATIONAL)
 
 DECOMPOSE = [
     (name, notion, minimize)
@@ -355,6 +406,21 @@ def test_deficiency_is_pinned(tmp_path, capsys, name, basis, fmt):
     assert (code, digest) == DEFICIENCY_PINS[" ".join((name, basis, fmt))]
 
 
+# `dimension --notion X --n 6 --grid` CSV: notion -> stdout sha256[:16].
+DIMENSION_PINS = {
+    "sym": "d26070e73c209607",
+    "star": "85c8c3b851d9da3f",
+    "tree": "9a9ee9b621441d6b",
+}
+
+
+@pytest.mark.parametrize("notion", sorted(DIMENSION_PINS))
+def test_dimension_grid_is_pinned(capsys, notion):
+    code = main(["dimension", "--notion", notion, "--n", "6", "--grid"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert (code, digest) == (0, DIMENSION_PINS[notion])
+
+
 def test_library_matches_cli(tmp_path, capsys):
     for name, notion, method, extra in RUNS:
         if extra and extra[0] == "--no-certificates":
@@ -364,8 +430,36 @@ def test_library_matches_cli(tmp_path, capsys):
         if code == 2:  # the matrix file is of the wrong kind for the notion
             continue
         m = parse_matrix(_matrix_text(name))
-        result = compute_rank(m, NOTION_ALIASES[notion], method, budget)
+        result = compute_rank(m, notion, method, budget)
         assert json.dumps(result.to_json_dict(), indent=2) + "\n" == out, (name, notion, method)
+
+
+@pytest.mark.parametrize("command", ["rank", "decompose", "dimension"])
+def test_notion_choices_are_the_notions(capsys, command):
+    argv = [command, "--notion", "none"] + (["--n", "5"] if command == "dimension" else ["m.txt"])
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "(choose from 'star', 'sym', 'tree')" in capsys.readouterr().err
+    assert sorted(NOTIONS) == ["star", "sym", "tree"]
+
+
+@pytest.mark.parametrize(
+    "error", [CertificateError("bad certificate"), ConstructionError("no scale"), RecursionError("deep")]
+)
+def test_internal_errors_exit_five(tmp_path, capsys, monkeypatch, error):
+    import troprank.cli as cli_module
+
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(cli_module, "compute_rank", failing)
+    path = tmp_path / "sym3-rank2.txt"
+    path.write_text(_matrix_text("sym3-rank2"))
+    code = main(["rank", str(path), "--notion", "sym"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL == 5
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
 
 
 def test_compute_rank_rejects_unknown_method():

@@ -3,6 +3,7 @@ matrices, cross-validated against the exact solver."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -28,13 +29,10 @@ from troprank.deficiency import (
 from troprank.membership import PLUECKER, SYMMETRIC_MINORS, is_tree_matrix
 from troprank.rank import exact_rank
 from troprank.small_cases import (
-    FIVE_CYCLES,
-    TRIANGLE,
+    PENTAGONS,
+    TRIANGLES,
+    _minimizers,
     differ_by_transposition,
-    evaluate_p22,
-    evaluate_pentad,
-    p22_terms,
-    pentad_terms,
     star5_rank2_decompose,
     star5_rank2_test,
     sym3_rank,
@@ -44,6 +42,8 @@ from troprank.small_cases import (
 
 from conftest import random_dissimilarity, random_symmetric
 
+P22 = PENTAGONS + TRIANGLES
+
 
 def cycle_zero_one(n):
     return DissimilarityMatrix.from_function(
@@ -51,29 +51,43 @@ def cycle_zero_one(n):
     )
 
 
+def fraction_minimizers(terms, m):
+    """The terms of least Fraction sum of m's entries, recomputed directly."""
+    sums = [sum((m[p] for p in term), Fraction(0)) for term in terms]
+    return [term for term, total in zip(terms, sums) if total == min(sums)]
+
+
 class TestPolynomialTerms:
     def test_twelve_pentagons(self):
-        assert len(FIVE_CYCLES) == 12
-        assert len(pentad_terms()) == 12
+        assert len(PENTAGONS) == 12
+        assert len(set(PENTAGONS)) == 12
+        for term in PENTAGONS:
+            assert list(term) == sorted(term) and len(set(term)) == 5
 
     def test_twentytwo_terms_each_label_twice(self):
-        terms = p22_terms()
-        assert len(terms) == 22
-        assert sum(1 for t in terms if t.kind == TRIANGLE) == 10
-        for term in terms:
+        assert len(P22) == 22 and len(set(P22)) == 22
+        assert len(TRIANGLES) == 10
+        for term in P22:
+            assert list(term) == sorted(term)
             counts = {}
-            for pos, e in term.monomial.exponents:
+            for pos in term:
                 for v in pos:
-                    counts[v] = counts.get(v, 0) + e
+                    counts[v] = counts.get(v, 0) + 1
             assert counts == {v: 2 for v in range(1, 6)}
 
-    def test_pentad_evaluation_on_min_matrix(self):
-        m = DissimilarityMatrix.from_function(5, lambda i, j: min(i, j))
-        evaluation = evaluate_pentad(m)
-        # Independent recomputation straight from the cycle edge lists.
-        for term, value in zip(evaluation.terms, evaluation.values):
-            assert value == sum(m[p] for p, _ in term.monomial.exponents)
-        assert evaluation.minimum == min(evaluation.values)
+    def test_pentad_evaluation_on_min_matrix(self, rng):
+        # Integer sums on the scaled entries pick the same minimizers, in the
+        # same order, as Fraction sums on the entries themselves.
+        matrices = [DissimilarityMatrix.from_function(5, lambda i, j: min(i, j))]
+        for _ in range(60):
+            matrices.append(DissimilarityMatrix.from_function(
+                5, lambda i, j: Fraction(rng.randint(0, 6), rng.choice((1, 2, 3)))
+            ))
+        for m in matrices:
+            scale, values = m.scaled_to_integers()
+            assert all(values[p] == m[p] * scale for p in m.positions())
+            for terms in (PENTAGONS, P22):
+                assert _minimizers(terms, values) == fraction_minimizers(terms, m)
 
 
 class TestSym3:
@@ -244,9 +258,7 @@ class TestTree5:
                 assert tag == FIVE_CYCLE
                 assert chi == 3
             # The 22-term polynomial check against the taxonomy.
-            triangles = [
-                t for t in evaluate_p22(m).minimizers() if t.kind == TRIANGLE
-            ]
+            triangles = [t for t in fraction_minimizers(P22, m) if t in TRIANGLES]
             assert (value <= 2) == (bool(triangles) or value == 1)
 
     def test_decompose_requires_triangle_minimizer(self):

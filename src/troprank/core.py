@@ -93,6 +93,21 @@ def quartets(n: int) -> tuple[Quartet, ...]:
     )
 
 
+def unique_minima(relations, values) -> Iterator[tuple[tuple, int]]:
+    """(relation, k) for each relation whose smallest term is its k-th only.
+
+    A relation is a tuple of terms, a term a pair of positions standing for
+    the sum of their two entries; `values` maps positions to integers (see
+    `scaled_to_integers`), so every tie is exact.  The deficiency builder
+    reads every hit; the four-point test stops at the first.
+    """
+    for relation in relations:
+        sums = [values[a] + values[b] for a, b in relation]
+        low = min(sums)
+        if sums.count(low) == 1:
+            yield relation, sums.index(low)
+
+
 class _PairIndexed:
     """Shared storage/indexing for the two matrix spaces."""
 
@@ -125,7 +140,10 @@ class _PairIndexed:
         integer kernels work on these values and divide by `scale` on exit.
         """
         scale = math.lcm(*(v.denominator for v in self.values))
-        return scale, {p: v.numerator * (scale // v.denominator) for p, v in self.items()}
+        return scale, {
+            p: v.numerator * (scale // v.denominator)
+            for p, v in zip(self.positions(), self.values)
+        }
 
 
 def _check_bounds(n: int, i: int, j: int) -> None:

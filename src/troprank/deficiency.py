@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .core import INFINITE, DissimilarityMatrix, Matrix, Position, SymmetricMatrix
+from .core import INFINITE, DissimilarityMatrix, Matrix, Position, SymmetricMatrix, unique_minima
 from .membership import (
     PLUECKER,
     STAR_TREE,
@@ -87,24 +87,19 @@ class DeficiencyHypergraph:
 def build_deficiency(w: Matrix, basis: str) -> DeficiencyHypergraph:
     """Hyperedges from the basis relations uniquely minimized at w.
 
-    Every term is a sum of two entries, so the sums run in integers (the
-    entries times the lcm of their denominators), which keeps each tie and
-    each minimizer.
+    Every term is a sum of two entries, so `core.unique_minima` compares the
+    sums in integers (the entries times the lcm of their denominators),
+    which keeps each tie and each minimizer.
     """
     if basis == SYMMETRIC_MINORS and not isinstance(w, SymmetricMatrix):
         raise TypeError("the minors basis applies to symmetric matrices")
     if basis in (STAR_TREE, PLUECKER) and not isinstance(w, DissimilarityMatrix):
         raise TypeError(f"the {basis} basis applies to dissimilarity matrices")
-    relations = basis_for(basis, w.n)
     _, values = w.scaled_to_integers()
     hyperedges: list[frozenset[Position]] = []
     provenance: dict[frozenset[Position], Relation] = {}
-    for relation in relations:
-        sums = [values[a] + values[b] for a, b in relation]
-        low = min(sums)
-        if sums.count(low) > 1:
-            continue
-        edge = frozenset(relation[sums.index(low)])
+    for relation, k in unique_minima(basis_for(basis, w.n), values):
+        edge = frozenset(relation[k])
         if edge not in provenance:
             hyperedges.append(edge)
             provenance[edge] = relation

@@ -14,6 +14,11 @@ relation is a tuple of terms, a term a sorted pair of positions (one
 position twice for a square such as x12^2).  The degree-5 terms of the
 5x5 closed forms are sorted position tuples too (`small_cases.PENTAGONS`,
 `small_cases.TRIANGLES`); `term_label` names any of them.
+
+The three-term relations are a tropical basis of the tree space trop
+Gr(2,n) (Speyer-Sturmfels), so `is_tree_matrix` is the hypersurface test
+on the Pluecker table: the deficiency builder's integer kernel
+`core.unique_minima`, stopped at the first relation with a unique minimum.
 """
 
 from __future__ import annotations
@@ -111,7 +116,8 @@ def is_star_tree(m: DissimilarityMatrix) -> bool:
 
 
 def is_tree_matrix(m: DissimilarityMatrix) -> bool:
-    """Four-point condition: minimum pairing attained twice per quadruple."""
+    """Four-point condition: minimum pairing attained twice per quadruple,
+    i.e. no Pluecker relation has a unique minimum (decided in integers)."""
     return four_point_violation(m) is None
 
 

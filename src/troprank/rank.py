@@ -25,8 +25,9 @@ everywhere else.  Slot feasibility is decided exactly:
   split; two forced pairings of one quartet make the slot infeasible.
   With no forced split a star witness is tried; otherwise exact linear
   feasibility runs, in integers, over the unrooted binary topologies
-  showing every forced split (zero-weight internal edges cover the
-  degenerate shapes, so binary topologies suffice).
+  showing every forced split.  Zero-weight internal edges cover the
+  degenerate shapes, so binary topologies suffice.  An AND of one bitmask
+  per forced (quartet, split code) picks the topologies to try.
 
 Search slots must stay independent in the deficiency graph (a slot holding
 both ends of a deficiency edge is infeasible), which is also where the
@@ -451,11 +452,10 @@ class _AssignmentSearcher:
             star = self._sum_witness(cls)
             if star is not None:
                 return star
-        for topology in _binary_topologies(self.m.n):
-            if all(topology.splits[q] == code for q, code in forced):
-                point = self._solve_topology(topology, cls)
-                if point is not None:
-                    return ("tree", point)
+        for topology in _candidate_topologies(self.m.n, forced):
+            point = self._solve_topology(topology, cls)
+            if point is not None:
+                return ("tree", point)
         return None
 
     def _solve_topology(self, topology: "_Topology", cls: frozenset) -> Optional[WeightedTree]:
@@ -573,6 +573,37 @@ def _binary_topologies(n: int) -> tuple[_Topology, ...]:
 
     grow([(1, n + 1), (2, n + 1), (3, n + 1)], 4)
     return tuple(shapes)
+
+
+@lru_cache(maxsize=None)
+def _split_masks(n: int) -> tuple[tuple[int, int, int], ...]:
+    """masks[q][c]: bit t set when the t-th shape of `_binary_topologies(n)`
+    has split code c on the q-th quartet."""
+    topologies = _binary_topologies(n)
+    count = len(quartets(n))
+    table = b"".join(t.splits for t in topologies)  # row t holds shape t's codes
+    # Per code c, a column of codes becomes binary digits: "1" where it is c.
+    digits = [bytes.maketrans(b"\x00\x01\x02", ones) for ones in (b"100", b"010", b"001")]
+    masks = []
+    for q in range(count):
+        column = table[q::count][::-1]  # the last shape is the highest bit
+        masks.append(tuple(int(column.translate(d), 2) for d in digits))
+    return tuple(masks)
+
+
+def _candidate_topologies(n: int, forced: Sequence[tuple[int, int]]):
+    """The shapes showing every forced (quartet, split code), in
+    `_binary_topologies(n)` order."""
+    topologies = _binary_topologies(n)
+    selected = (1 << len(topologies)) - 1
+    if forced:
+        masks = _split_masks(n)
+        for q, code in forced:
+            selected &= masks[q][code]
+    while selected:
+        low = selected & -selected
+        selected ^= low
+        yield topologies[low.bit_length() - 1]
 
 
 def _decomposition_from_witnesses(

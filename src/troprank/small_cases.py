@@ -35,6 +35,7 @@ from .core import (
     star_generator,
 )
 from .decomposition import (
+    CertificateError,
     Decomposition,
     STAR,
     SYM,
@@ -299,7 +300,8 @@ def tree5_rank(m: DissimilarityMatrix) -> Tree5Result:
         dec = tree5_rank2_decompose(m, triangles[0])
         return Tree5Result(2, dec, triangle=triangles[0])
     classification = classify_petersen(m)
-    assert classification.tag == FIVE_CYCLE
+    if classification.tag != FIVE_CYCLE:
+        raise CertificateError("no triangle term is minimal, yet no 5-cycle either")
     dec = certify(m, Decomposition(TREE, star_upper_decomposition(m).summands))
     return Tree5Result(3, dec, five_cycle=tuple(sorted(classification.edges, key=sorted)))
 
@@ -338,11 +340,12 @@ def tree5_rank2_decompose(
                 break
         if perm_found:
             break
-    assert perm_found is not None, "orientation relabeling must exist"
+    if perm_found is None:
+        raise CertificateError("no relabeling orients the triangle term")
     mm = apply_permutation(m, perm_found)
     t_rows = _triangle_complement_matrix(mm)
-    assert is_tree_matrix(t_rows)
-    assert all(t_rows[p] >= mm[p] for p in mm.positions())
+    if not is_tree_matrix(t_rows) or any(t_rows[p] < mm[p] for p in mm.positions()):
+        raise CertificateError("the triangle completion is not a tree matrix above the input")
     inverse = [0] * 5
     for i, img in enumerate(perm_found, start=1):
         inverse[img - 1] = i

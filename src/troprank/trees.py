@@ -7,15 +7,28 @@ of trees whose internal edges carry nonpositive weights (pendant edges are
 unrestricted).  Negating entries turns this into the classical four-point
 condition with nonnegative internal weights, which is the orientation the
 insertion algorithm below works in.
+
+The arithmetic runs on integer-scaled values (the four-point test,
+leaf distances, leaf insertion); `Fraction`s are built on exit only.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import DissimilarityMatrix, _pad_value, format_decimal_or_ratio, frac, quartets
+from .core import (
+    DissimilarityMatrix,
+    Position,
+    _pad_value,
+    format_decimal_or_ratio,
+    frac,
+    quartets,
+    unique_minima,
+)
 
 
 class NotTreeMatrixError(ValueError):
@@ -23,12 +36,20 @@ class NotTreeMatrixError(ValueError):
 
 
 def four_point_violation(m: DissimilarityMatrix) -> Optional[tuple[int, int, int, int]]:
-    """First quadruple whose pairing minimum is attained only once, if any."""
-    for pairings in quartets(m.n):
-        sums = [m[a] + m[b] for a, b in pairings]
-        if sums.count(min(sums)) < 2:
-            (i, j), (k, l) = pairings[0]
-            return (i, j, k, l)
+    """First quadruple whose pairing minimum is attained only once, if any.
+
+    The three pairing sums of a quadruple are the terms of its three-term
+    Pluecker relation, so this is the first relation of the Pluecker table
+    with a unique minimum, found on the integer-scaled entries.
+    """
+    _, values = m.scaled_to_integers()
+    return _violation(m.n, values)
+
+
+def _violation(n: int, values: dict[Position, int]) -> Optional[tuple[int, int, int, int]]:
+    for pairings, _ in unique_minima(quartets(n), values):
+        (i, j), (k, l) = pairings[0]
+        return (i, j, k, l)
     return None
 
 
@@ -94,7 +115,8 @@ class WeightedTree:
         return len(seen) == len(verts)
 
     def distances_from(self, source: int) -> dict[int, Fraction]:
-        dist = {source: Fraction(0)}
+        """Path lengths from `source`, in the weights' own number type."""
+        dist = {source: 0}
         stack = [source]
         while stack:
             u = stack.pop()
@@ -105,11 +127,20 @@ class WeightedTree:
         return dist
 
     def leaf_distance_matrix(self) -> DissimilarityMatrix:
+        """Leaf distances, summed in integers: one depth-first pass per leaf
+        over the weights times the lcm of their denominators."""
         n = self.n_leaves
-        dists = {leaf: self.distances_from(leaf) for leaf in range(1, n)}
-        return DissimilarityMatrix.from_function(
-            n, lambda i, j: dists[min(i, j)][max(i, j)]
-        )
+        scale = math.lcm(*(w.denominator for nb in self.adjacency.values() for w in nb.values()))
+        weights = {
+            u: {v: w.numerator * (scale // w.denominator) for v, w in nb.items()}
+            for u, nb in self.adjacency.items()
+        }
+        scaled = WeightedTree(n, weights)
+        values = []
+        for i in range(1, n):
+            dist = scaled.distances_from(i)
+            values.extend(Fraction(dist[j], scale) for j in range(i + 1, n + 1))
+        return DissimilarityMatrix(n, tuple(values))
 
     def simplified(self) -> "WeightedTree":
         """Contract zero-weight internal edges and unsplice degree-2 internals."""
@@ -189,45 +220,46 @@ def realize_tree(m: DissimilarityMatrix) -> WeightedTree:
     the host path and keeping the one that reproduces all distances.
     The exhaustive split trial sidesteps non-monotone cumulative lengths
     caused by negative pendant weights.
+
+    It runs on the even integers d = -2 * scale * m (scale: the lcm of the
+    entries' denominators), so each halving is exact and every comparison,
+    hence the pair, split and shape, is as on m; the weights are divided
+    back once, at the end.
     """
-    violation = four_point_violation(m)
+    scale, values = m.scaled_to_integers()
+    violation = _violation(m.n, values)
     if violation is not None:
         raise NotTreeMatrixError(f"four-point condition fails on quadruple {violation}")
     n = m.n
-
-    def d(i: int, j: int) -> Fraction:
-        return -m[(i, j)]
+    d = {p: -2 * v for p, v in values.items()}  # keyed (i, j) with i < j
 
     # Base: three leaves around a hub.
     next_id = n + 1
     tree = WeightedTree(n_leaves=n)
     hub = next_id
     next_id += 1
-    _add_edge(tree.adjacency, 1, hub, (d(1, 2) + d(1, 3) - d(2, 3)) / 2)
-    _add_edge(tree.adjacency, 2, hub, (d(1, 2) + d(2, 3) - d(1, 3)) / 2)
-    _add_edge(tree.adjacency, 3, hub, (d(1, 3) + d(2, 3) - d(1, 2)) / 2)
+    _add_edge(tree.adjacency, 1, hub, (d[1, 2] + d[1, 3] - d[2, 3]) // 2)
+    _add_edge(tree.adjacency, 2, hub, (d[1, 2] + d[2, 3] - d[1, 3]) // 2)
+    _add_edge(tree.adjacency, 3, hub, (d[1, 3] + d[2, 3] - d[1, 2]) // 2)
 
     for x in range(4, n + 1):
-        placed = list(range(1, x))
-        best: Optional[tuple[Fraction, int, int]] = None
-        for a_i in range(len(placed)):
-            for b_i in range(a_i + 1, len(placed)):
-                i, j = placed[a_i], placed[b_i]
-                g = (d(i, x) + d(j, x) - d(i, j)) / 2
-                if best is None or g < best[0]:
-                    best = (g, i, j)
-        assert best is not None
-        alpha, i, j = best
+        placed = range(1, x)
+        # x >= 4, so at least three leaves are placed and there is a pair;
+        # ties go to the first pair in combinations order.
+        alpha, i, j = min(
+            ((d[i, x] + d[j, x] - d[i, j]) // 2, i, j)
+            for i, j in itertools.combinations(placed, 2)
+        )
         path = _tree_path(tree, i, j)
-        u = d(i, x) - alpha  # distance from i to the attachment point
+        u = d[i, x] - alpha  # distance from i to the attachment point
         if not _try_insert(tree, path, x, u, alpha, placed, d, next_id):
             raise NotTreeMatrixError("tree insertion failed; matrix is not a tree metric")
         next_id += 1
 
-    for u in tree.adjacency:
-        for v in tree.adjacency[u]:
-            tree.adjacency[u][v] = -tree.adjacency[u][v]
     tree = tree.simplified()
+    for nb in tree.adjacency.values():
+        for v, w in nb.items():
+            nb[v] = Fraction(-w, 2 * scale)
     tree.validate()
     return tree
 
@@ -251,7 +283,7 @@ def _tree_path(tree: WeightedTree, i: int, j: int) -> list[int]:
 
 
 def _try_insert(tree, path, x, u, alpha, placed, d, next_id) -> bool:
-    cumulative = [Fraction(0)]
+    cumulative = [0]
     for a, b in zip(path, path[1:]):
         cumulative.append(cumulative[-1] + tree.adjacency[a][b])
     for t in range(len(path) - 1):
@@ -266,7 +298,7 @@ def _try_insert(tree, path, x, u, alpha, placed, d, next_id) -> bool:
         _add_edge(tree.adjacency, split, b, saved - delta)
         _add_edge(tree.adjacency, x, split, alpha)
         dist = tree.distances_from(x)
-        if all(dist[leaf] == d(leaf, x) for leaf in placed):
+        if all(dist[leaf] == d[leaf, x] for leaf in placed):
             return True
         del tree.adjacency[x]
         del tree.adjacency[a][split]

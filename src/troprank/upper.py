@@ -297,7 +297,8 @@ def _tree_peel_decomposition(m: DissimilarityMatrix, c: Fraction) -> Decompositi
     )
     summands = []
     for s in base_dec.summands:
-        assert isinstance(s.generator, WeightedTree)
+        if not isinstance(s.generator, WeightedTree):
+            raise CertificateError("the 6x6 matching split returned a summand without a tree")
         tree = embed_tree_block(s.matrix, (1, 2, 3, 4, 5, 6), n, c)
         summands.append(tree_summand(tree))
     for i in range(7, n + 1):

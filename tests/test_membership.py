@@ -2,6 +2,8 @@
 polynomial, and exact tree realization."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +12,9 @@ from troprank.core import (
     SymmetricMatrix,
     apply_permutation,
     frac,
+    offdiag_positions,
     project,
+    quartets,
     rank_one_symmetric,
 )
 from troprank.deficiency import build_deficiency
@@ -26,7 +30,7 @@ from troprank.membership import (
     pfaffian_minimizers,
     term_label,
 )
-from troprank.trees import NotTreeMatrixError, realize_tree
+from troprank.trees import NotTreeMatrixError, four_point_violation, realize_tree
 
 from conftest import random_dissimilarity, random_rational, random_symmetric
 
@@ -148,6 +152,46 @@ class TestTreeMembership:
             perm = list(range(1, 6))
             rng.shuffle(perm)
             assert is_tree_matrix(m) == is_tree_matrix(apply_permutation(m, tuple(perm)))
+
+
+def reference_four_point_violation(m: DissimilarityMatrix):
+    """The four-point test as it was before the integer kernel: a loop over
+    `quartets(n)` in Fraction sums."""
+    for pairings in quartets(m.n):
+        sums = [m[a] + m[b] for a, b in pairings]
+        if sums.count(min(sums)) < 2:
+            (i, j), (k, l) = pairings[0]
+            return (i, j, k, l)
+    return None
+
+
+class TestFourPointKernel:
+    """`four_point_violation` runs the integer unique-minimum kernel over the
+    Pluecker table; it must report the reference loop's first quadruple."""
+
+    def test_first_violation_matches_reference(self):
+        rng = random.Random(4321)
+        violations = late = trees = 0
+        for n in range(4, 10):
+            for trial in range(60):
+                # Few distinct values over denominators 1, 2, 3: many ties.
+                m = DissimilarityMatrix.from_function(
+                    n, lambda i, j: Fraction(rng.randint(-2, 3), rng.choice((1, 2, 3)))
+                )
+                if trial % 3 == 0:
+                    # A tree matrix (a star), with one entry nudged half the time.
+                    v = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n)]
+                    bump = rng.choice(offdiag_positions(n)) if trial % 2 else None
+                    m = DissimilarityMatrix.from_function(
+                        n, lambda i, j: v[i - 1] + v[j - 1] - (Fraction(1, 3) if (i, j) == bump else 0)
+                    )
+                expected = reference_four_point_violation(m)
+                assert four_point_violation(m) == expected
+                assert is_tree_matrix(m) == (expected is None)
+                violations += expected is not None
+                trees += expected is None
+                late += expected is not None and expected != (1, 2, 3, 4)
+        assert violations > 100 and trees > 50 and late > 30
 
 
 class TestTropicalSingularity:

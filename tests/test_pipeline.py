@@ -12,7 +12,10 @@ certificate whenever χ = 1.  The `deficiency` pins were recorded before the
 bases became relation tables.  The `*-rational` pins (entry denominators 1,
 2 and 3) and the `dimension --grid` pins were recorded before the sum-slot
 systems and the 5x5 closed forms moved to integer entry: every other input
-is an integer matrix, which cannot catch a wrong denominator.
+is an integer matrix, which cannot catch a wrong denominator.  The
+`tree6-rational` and `tree7-rational` pins and the `realize_tree` Newick
+pins were recorded before leaf distances, tree insertion and the
+four-point test moved to integers.
 """
 
 import ast
@@ -31,6 +34,7 @@ from troprank.decomposition import NOTIONS, TREE, CertificateError, Construction
 from troprank.generators import generate
 from troprank.matrixio import parse_matrix, serialize_matrix
 from troprank.rank import exact_rank
+from troprank.trees import WeightedTree, realize_tree
 
 from conftest import random_dissimilarity
 
@@ -101,6 +105,21 @@ MATRICES = {
         [_, "3/2", "1/3", 0, 0], ["3/2", _, "8/3", 3, 1], ["1/3", "8/3", _, 0, 1],
         [0, 3, 0, _, "7/2"], [0, 1, 1, "7/2", _],
     ],
+    # Tree rank 2 (the minimum of two rational tree metrics) and 3, both
+    # below `upper_size`: `exact` emits LP tree witnesses, `bounds` the
+    # matching split (n = 6) or the peel to the leading 6x6 block (n = 7),
+    # whose blocks go through `realize_tree`.
+    "tree6-rational": [
+        [_, 4, -2, "8/3", "-2/3", "8/3"], [4, _, -2, "1/2", "-2/3", 0],
+        [-2, -2, _, "-10/3", -1, "-4/3"], ["8/3", "1/2", "-10/3", _, -2, "1/2"],
+        ["-2/3", "-2/3", -1, -2, _, "-5/3"], ["8/3", 0, "-4/3", "1/2", "-5/3", _],
+    ],
+    "tree7-rational": [
+        [_, "8/3", "8/3", 3, 3, "3/2", 4], ["8/3", _, 9, "5/3", 0, 1, 3],
+        ["8/3", 9, _, 0, 9, "1/3", 1], [3, "5/3", 0, _, 3, 0, 0],
+        [3, 0, 9, 3, _, "5/2", 2], ["3/2", 1, "1/3", 0, "5/2", _, 0],
+        [4, 3, 1, 0, 2, 0, _],
+    ],
 }
 
 NOTIONS_OF = {
@@ -150,6 +169,18 @@ PINS = {
     'tree5-rational star auto': (0, 3, 'da21e7e35563f9ff'),
     'tree5-rational star exact': (0, 3, '7fe6e3cc463da500'),
     'tree5-rational star bounds': (0, 3, '4fe1762c6b7bde8d'),
+    'tree6-rational tree auto': (0, 2, '7cdaf98af91ecf3a'),
+    'tree6-rational tree exact': (0, 2, '7cdaf98af91ecf3a'),
+    'tree6-rational tree bounds': (3, None, '187f0db2df1ed0c4'),
+    'tree6-rational star auto': (0, 4, '6742a8bb2f17cf36'),
+    'tree6-rational star exact': (0, 4, '6742a8bb2f17cf36'),
+    'tree6-rational star bounds': (0, 4, 'b18ca234d8fed8c5'),
+    'tree7-rational tree auto': (0, 3, '3ec2e33c393c3859'),
+    'tree7-rational tree exact': (0, 3, '3ec2e33c393c3859'),
+    'tree7-rational tree bounds': (3, None, '041b328476aa7261'),
+    'tree7-rational star auto': (0, 4, '41b85882e9ff6b20'),
+    'tree7-rational star exact': (0, 4, '41b85882e9ff6b20'),
+    'tree7-rational star bounds': (3, None, 'e2eac52105479eca'),
     'star5-rank1 star auto': (0, 1, 'ddd3bff25135283c'),
     'star5-rank1 star exact': (0, 1, 'cc27f3baca720db4'),
     'star5-rank1 star bounds': (0, 1, 'd18a94d064bb8dda'),
@@ -261,7 +292,10 @@ PINS = {
     'tree7 tree decompose --minimize': (0, '-', '49b201836336b81c'),
 }
 
-RATIONAL = ["sym5-rational", "star6-rational", "star5-rational", "tree5-rational"]
+RATIONAL = [
+    "sym5-rational", "star6-rational", "star5-rational", "tree5-rational",
+    "tree6-rational", "tree7-rational",
+]
 
 
 def _routes(names):
@@ -419,6 +453,60 @@ def test_dimension_grid_is_pinned(capsys, notion):
     code = main(["dimension", "--notion", notion, "--n", "6", "--grid"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
     assert (code, digest) == (0, DIMENSION_PINS[notion])
+
+
+def _rational_tree_matrix(seed: int) -> DissimilarityMatrix:
+    """Leaf distances of a seeded random binary tree on 4..9 leaves, grown
+    by inserting each leaf on a random edge.  Each weight is an integer over
+    1, 2 or 3: in [-6, 0] on internal edges (zero ones included, so some
+    shapes collapse), in [-3, 12] on pendant edges."""
+    rng = random.Random(seed)
+    n = 4 + seed % 6
+    adj: dict = {}
+
+    def edge(u, v):
+        low, high = (-6, 0) if u > n and v > n else (-3, 12)
+        w = Fraction(rng.randint(low, high), rng.choice((1, 2, 3)))
+        adj.setdefault(u, {})[v] = w
+        adj.setdefault(v, {})[u] = w
+
+    for leaf in (1, 2, 3):
+        edge(leaf, n + 1)
+    for leaf in range(4, n + 1):
+        mid = n + leaf - 2
+        u = rng.choice(sorted(adj))
+        v = rng.choice(sorted(adj[u]))
+        del adj[u][v], adj[v][u]
+        edge(u, mid)
+        edge(mid, v)
+        edge(leaf, mid)
+    return WeightedTree(n, adj).leaf_distance_matrix()
+
+
+# `realize_tree(...).to_newick()` of `_rational_tree_matrix(seed)`:
+# seed -> sha256[:16].
+NEWICK_PINS = {
+    1: '1a6f3e9b4b41d2b8',
+    2: '3384b23dcf5ecbe7',
+    3: '8c06900b8310fd83',
+    4: 'ea55215f9aec63c4',
+    5: '9986b16f915b8c9d',
+    6: '0eaea0ae4ff321a8',
+    7: '266aebd5b29eb88b',
+    8: 'e8d0855863a21bfe',
+    9: '78618c561bb50a00',
+    10: '84517b11e764e295',
+    11: '3ff57c89dd3cb85d',
+    12: '22eacb61faadd941',
+}
+
+
+@pytest.mark.parametrize("seed", sorted(NEWICK_PINS))
+def test_realize_tree_newick_is_pinned(seed):
+    m = _rational_tree_matrix(seed)
+    tree = realize_tree(m)
+    assert tree.leaf_distance_matrix() == m
+    assert hashlib.sha256(tree.to_newick().encode()).hexdigest()[:16] == NEWICK_PINS[seed]
 
 
 def test_library_matches_cli(tmp_path, capsys):

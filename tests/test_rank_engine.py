@@ -33,6 +33,7 @@ from troprank.rank import (
     _AssignmentSearcher,
     _upper_for_search,
     _binary_topologies,
+    _candidate_topologies,
     _forced_splits,
     block_matrix,
     compute_rank,
@@ -186,6 +187,19 @@ class TestTreeUpper:
                 dec = tree_upper_decomposition(m)
                 assert verify(m, dec)
                 assert len(dec) <= bound
+
+    def test_peel_rejects_a_base_summand_without_a_tree(self, rng, monkeypatch):
+        # The peel embeds the 6x6 block's trees; a star summand in their
+        # place is an internal fault (exit 5), also under python -O.
+        import troprank.upper as upper_module
+
+        monkeypatch.setattr(
+            upper_module,
+            "_tree6_decomposition",
+            lambda m, c: Decomposition(TREE, star_upper_decomposition(m).summands),
+        )
+        with pytest.raises(CertificateError, match="without a tree"):
+            tree_upper_decomposition(random_dissimilarity(rng, 7))
 
 
 class TestExactRank:
@@ -411,6 +425,27 @@ class TestQuartetPruning:
             for pairings, code in zip(quartets(n), topology.splits):
                 sums = [d[a] + d[b] for a, b in pairings]
                 assert sums[code] > max(s for k, s in enumerate(sums) if k != code)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_mask_selection_matches_the_split_scan(self, n):
+        # The bitmask AND picks the shapes the per-shape scan
+        # `all(t.splits[q] == c ...)` picks, in the same order.
+        rng = random.Random(8000 + n)
+        topologies = _binary_topologies(n)
+        seen = set()
+        for _ in range(40):
+            m = DissimilarityMatrix.from_function(
+                n, lambda i, j: Fraction(rng.randint(0, 6), rng.choice((1, 2, 3)))
+            )
+            _, values = m.scaled_to_integers()
+            for size in range(2, 2 * n):
+                forced = _forced_splits(n, values, frozenset(rng.sample(m.positions(), size)))
+                if forced is None:
+                    continue
+                scan = [t for t in topologies if all(t.splits[q] == c for q, c in forced)]
+                assert list(_candidate_topologies(n, forced)) == scan
+                seen.add("none" if not scan else "some" if forced else "all")
+        assert seen == {"none", "some", "all"}
 
     @pytest.mark.parametrize("n, matrices, slots", [(5, 10, 10), (6, 4, 8)])
     def test_rejected_topologies_are_lp_infeasible(self, n, matrices, slots):

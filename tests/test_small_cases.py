@@ -15,7 +15,7 @@ from troprank.core import (
     project,
     rank_one_symmetric,
 )
-from troprank.decomposition import STAR, SYM, TREE, verify
+from troprank.decomposition import STAR, SYM, TREE, CertificateError, verify
 from troprank.deficiency import (
     FIVE_CYCLE,
     HUB_PAIR,
@@ -260,6 +260,22 @@ class TestTree5:
             # The 22-term polynomial check against the taxonomy.
             triangles = [t for t in fraction_minimizers(P22, m) if t in TRIANGLES]
             assert (value <= 2) == (bool(triangles) or value == 1)
+
+    def test_broken_triangle_completion_is_a_certificate_error(self, monkeypatch):
+        # An internal fault (exit 5), not a non-tree input (exit 2), and it
+        # is raised under python -O as well.
+        import troprank.small_cases as small_cases_module
+
+        m = DissimilarityMatrix.from_rows(
+            [[None, 0, 0, 0, 4], [0, None, 2, 4, 1], [0, 2, None, 1, 3],
+             [0, 4, 1, None, 2], [4, 1, 3, 2, None]]
+        )
+        assert tree5_rank(m).value == 2
+        monkeypatch.setattr(
+            small_cases_module, "_triangle_complement_matrix", lambda mm: cycle_zero_one(5)
+        )
+        with pytest.raises(CertificateError, match="triangle completion"):
+            tree5_rank(m)
 
     def test_decompose_requires_triangle_minimizer(self):
         m = cycle_zero_one(5)

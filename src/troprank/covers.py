@@ -28,6 +28,7 @@ from .core import (
     trop_sum_all,
 )
 from .decomposition import (
+    CertificateError,
     Decomposition,
     STAR,
     SYM,
@@ -400,7 +401,8 @@ def _star_cover_vector(el: CoverElement, n: int) -> list[Fraction]:
     if el.kind == CLIQUE:
         members = set(el.vertices)
         return [Fraction(0) if v in members else Fraction(1) for v in range(1, n + 1)]
-    assert el.kind == STAR_ELEMENT
+    if el.kind != STAR_ELEMENT:
+        raise CertificateError(f"a star cover holds a {el.kind} element")
     leaves = set(el.leaves)
     out = []
     for v in range(1, n + 1):
@@ -431,7 +433,7 @@ def _multipartite_candidates(g: ZeroOneGraph) -> list[tuple[CoverElement, frozen
             el = CoverElement(MULTIPARTITE, parts=parts)
             footprint = el.edge_footprint()
             if not footprint <= g.edges:
-                raise AssertionError("multipartite footprint escaped the graph")
+                raise CertificateError("multipartite footprint escaped the graph")
             if footprint and footprint not in best:
                 best[footprint] = (el, footprint)
     # Drop dominated footprints.
@@ -569,7 +571,7 @@ def _check_edge_cover(g: ZeroOneGraph, cover: Sequence[CoverElement]) -> None:
     for el in cover:
         fp = el.edge_footprint()
         if not fp <= g.edges:
-            raise AssertionError("cover element escapes the graph")
+            raise CertificateError("cover element escapes the graph")
         covered |= fp
     if covered != g.edges:
-        raise AssertionError("cover misses an edge")
+        raise CertificateError("cover misses an edge")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence, Union
 
 from .core import (
@@ -22,9 +23,8 @@ from .core import (
     as_vector,
     rank_one_symmetric,
     star_matrix,
-    trop_sum_all,
 )
-from .membership import is_rank1_symmetric, is_star_tree, is_tree_matrix
+from .membership import four_point_holds, rank_one_holds, star_tree_holds
 from .trees import WeightedTree
 
 SYM = "sym"
@@ -97,14 +97,8 @@ def tree_summand(tree: WeightedTree) -> Summand:
     return Summand(KIND_TREE, tree.leaf_distance_matrix(), tree)
 
 
-def membership_test_for(notion: str):
-    if notion == SYM:
-        return is_rank1_symmetric
-    if notion == STAR:
-        return is_star_tree
-    if notion == TREE:
-        return is_tree_matrix
-    raise ValueError(f"unknown rank notion {notion!r}; expected one of {NOTIONS}")
+# Each notion's membership test on integer entries keyed by position.
+_HOLDS = {SYM: rank_one_holds, STAR: star_tree_holds, TREE: four_point_holds}
 
 
 def space_for(notion: str):
@@ -133,20 +127,38 @@ class VerificationReport:
 
 
 def verify_matrices(m: Matrix, matrices: Sequence[Matrix], notion: str) -> VerificationReport:
-    """Membership of every summand matrix plus exact tropical-sum equality."""
+    """Membership of every summand matrix plus exact tropical-sum equality.
+
+    Decided in integers: the target and the summands are multiplied by one
+    lcm of all their denominators (membership, minima and equality are
+    invariant under positive scaling).  Summands are checked in order, each
+    for its shape, then its membership, and then the sum position by
+    position.
+    """
     if not isinstance(m, space_for(notion)):
         return VerificationReport(False, "matrix lives in the wrong space")
-    test = membership_test_for(notion)
+    if notion not in _HOLDS:
+        raise ValueError(f"unknown rank notion {notion!r}; expected one of {NOTIONS}")
     if not matrices:
         return VerificationReport(False, "empty decomposition")
-    for idx, summand in enumerate(matrices):
-        if type(summand) is not type(m) or summand.n != m.n:
-            return VerificationReport(False, "summand has mismatched shape", idx)
-        if not test(summand):
+    shaped = next(
+        (idx for idx, s in enumerate(matrices) if type(s) is not type(m) or s.n != m.n),
+        len(matrices),
+    )
+    scale = lcm(*(v.denominator for x in (m, *matrices[:shaped]) for v in x.values))
+    positions = m.positions()
+    target, *summands = (
+        [v.numerator * (scale // v.denominator) for v in x.values]
+        for x in (m, *matrices[:shaped])
+    )
+    holds = _HOLDS[notion]
+    for idx, values in enumerate(summands):
+        if not holds(m.n, dict(zip(positions, values))):
             return VerificationReport(False, "summand fails its membership test", idx)
-    total = trop_sum_all(list(matrices))
-    for pos in m.positions():
-        if total[pos] != m[pos]:
+    if shaped < len(matrices):
+        return VerificationReport(False, "summand has mismatched shape", shaped)
+    for pos, total, want in zip(positions, map(min, zip(*summands)), target):
+        if total != want:
             return VerificationReport(
                 False,
                 f"tropical sum disagrees with the target at {pos}",

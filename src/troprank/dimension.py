@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Position, offdiag_positions, symmetric_positions
-from .decomposition import NOTIONS, STAR, SYM, TREE
+from .decomposition import NOTIONS, STAR, SYM, TREE, CertificateError
 from .exactlp import rational_rank
 
 
@@ -279,7 +279,5 @@ def dimension_report(
     formula = dimension_formula(notion, n, r)
     sampled = sampled_local_dimension(notion, n, r, trials, seed)
     if sampled > formula:
-        raise AssertionError(
-            f"sampled dimension {sampled} exceeds the formula {formula}"
-        )
+        raise CertificateError(f"sampled dimension {sampled} exceeds the formula {formula}")
     return DimensionReport(notion, n, r, formula, sampled, trials, seed)

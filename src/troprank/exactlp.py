@@ -1,20 +1,36 @@
 """Exact rational linear algebra: rank, linear feasibility via equality
 elimination plus Fourier-Motzkin, and a two-variable-per-inequality solver.
 
-No tolerances anywhere.  Linear feasibility scales each rational row to
-integers and eliminates fraction-free (each combination divided by its
-gcd), so its inner loops run on ints and only the returned point is
-Fraction.  The two-variable solver takes integer constants only (callers
-scale the matrix with `scaled_to_integers`) and returns its model times
-two, all ints.  Sizes are tiny (at most a few dozen variables), so
-clarity beats asymptotics.
+No tolerances anywhere.
+
+`solve_linear_feasibility` returns a point fixed by the polyhedron P its
+rows define and by the span of its equalities, not by how the rows are
+written.  The pivot variables are the leading columns of that span; the
+others, the free variables, parametrize P.  Going through the free
+variables in index order, each is set to its minimum over the points of P
+that agree on the earlier ones, if that is bounded below, else to its
+maximum, if bounded above, else to 0; the equalities then fix the pivot
+variables.  Fourier-Motzkin computes exactly these projections of P, so a
+row that P does not need changes nothing: of rows whose heads are positive
+multiples of each other, each eliminated system keeps only the one with
+the largest bound.
+
+Rows of ints enter the kernel as they are and rational rows are scaled to
+integers; every elimination step is a fraction-free integer combination,
+so the point is built from integer numerators over one common denominator
+and returned as Fractions or as those integers.  The two-variable solver
+takes integer constants only (callers scale the matrix with
+`scaled_to_integers`) and returns its model times two, all ints.  Sizes
+are tiny (at most a few dozen variables), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from operator import mul
+from typing import Optional, Sequence, Union
+
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a matrix over the rationals by Gaussian elimination."""
@@ -40,12 +56,15 @@ def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
-def _integer_row(coeffs: Sequence, const) -> list[int]:
-    """[a_1, ..., a_n, c] for the row sum(a*x) >= c (or = c), times the
+def _integer_row(coeffs: Sequence, const) -> tuple[int, ...]:
+    """(a_1, ..., a_n, c) for the row sum(a*x) >= c (or = c) in integers:
+    the row itself when every entry is an int, else the row times the
     least positive integer that clears its denominators."""
-    values = [*coeffs, const]
+    values = (*coeffs, const)
+    if {*map(type, values)} == {int}:
+        return values
     scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
+    return tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
 def _primitive(row: Sequence[int]) -> tuple[int, ...]:
@@ -54,38 +73,33 @@ def _primitive(row: Sequence[int]) -> tuple[int, ...]:
     return tuple(v // g for v in row) if g > 1 else tuple(row)
 
 
-def _eliminate(target: Sequence[int], source: Sequence[int], var: int) -> tuple[int, ...]:
-    """source[var] * target - target[var] * source: zero in column `var`.
-
-    The caller keeps source[var] > 0, so an inequality target keeps its
-    direction.
-    """
-    s, t = source[var], target[var]
-    return _primitive([s * a - t * b for a, b in zip(target, source)])
-
-
 def solve_linear_feasibility(
     nvars: int,
-    equalities: Sequence[tuple[Sequence[Fraction], Fraction]],
-    inequalities: Sequence[tuple[Sequence[Fraction], Fraction]],
-) -> Optional[list[Fraction]]:
+    equalities: Sequence[tuple[Sequence, object]],
+    inequalities: Sequence[tuple[Sequence, object]],
+    *,
+    as_integers: bool = False,
+) -> Optional[Union[list[Fraction], tuple[list[int], int]]]:
     """A point satisfying sum(a*x) = c and sum(a*x) >= c systems, or None.
 
-    Equalities are removed by Gaussian pivoting (first nonzero column of
-    each reduced equality, kept in reduced row echelon form); the remaining
-    free system goes through Fourier-Motzkin with back-substitution to
-    recover a point.  Every row is scaled to integers on entry and every
-    elimination step is a fraction-free combination divided by its gcd, so
-    the kernel runs on ints; only the point it returns is built as Fraction.
+    The point is the one the module docstring defines.  Equalities are
+    removed by Gaussian pivoting (first nonzero column of each reduced
+    equality) and back-substitution; the free system goes through
+    Fourier-Motzkin.  The point comes back as Fractions, or with
+    `as_integers` as (integer numerators, one positive common denominator).
     """
     # pivots[k] = (var, row): row says sum(row[:-1] * x) = row[-1], with
-    # row[var] > 0 and a zero in every other pivot's column.
+    # row[var] > 0 and a zero in the column of every earlier pivot.
     pivots: list[tuple[int, tuple[int, ...]]] = []
     for coeffs, const in equalities:
-        row = _primitive(_integer_row(coeffs, const))
+        row = _integer_row(coeffs, const)
         for var, pivot_row in pivots:
-            if row[var]:
-                row = _eliminate(row, pivot_row, var)
+            t = row[var]
+            if t:
+                # pivot_row[var] * row - t * pivot_row: zero in column var.
+                s = pivot_row[var]
+                row = [s * a - t * b for a, b in zip(row, pivot_row)]
+        row = _primitive(row)
         pivot = next((k for k in range(nvars) if row[k]), None)
         if pivot is None:
             if row[-1]:
@@ -93,68 +107,104 @@ def solve_linear_feasibility(
             continue
         if row[pivot] < 0:
             row = tuple(-v for v in row)
-        pivots = [
-            (var, _eliminate(old, row, pivot) if old[pivot] else old) for var, old in pivots
-        ]
         pivots.append((pivot, row))
 
     pivot_vars = {var for var, _ in pivots}
     free_vars = [k for k in range(nvars) if k not in pivot_vars]
+    # Back-substitution, last pivot first: expressed[var] = (m, expr) says
+    # m * x_var + expr[:-1] . x_free = expr[-1], with m > 0.
+    expressed: dict[int, tuple[int, list[int]]] = {}
+    for var, row in reversed(pivots):
+        factor = 1  # the row times factor, with later pivots substituted
+        expr = [row[f] for f in free_vars] + [row[-1]]
+        for later, (m_later, expr_later) in expressed.items():
+            a = factor * row[later]
+            if a:
+                factor *= m_later
+                expr = [m_later * e - a * l for e, l in zip(expr, expr_later)]
+        m = factor * row[var]
+        g = gcd(m, *expr)
+        expressed[var] = (m // g, [e // g for e in expr])
+    # Over one multiplier `scale`: scale * x_var = expr[-1] - expr[:-1] . x_free.
+    scale = lcm(*(m for m, _ in expressed.values()))
+    exprs = [(var, [scale // m * e for e in expr]) for var, (m, expr) in expressed.items()]
 
-    reduced: set[tuple[int, ...]] = set()
+    reduced = []
     for coeffs, const in inequalities:
         row = _integer_row(coeffs, const)
-        for var, pivot_row in pivots:
-            if row[var]:
-                row = _eliminate(row, pivot_row, var)
-        free_row = [row[v] for v in free_vars]
-        if not any(free_row):
-            if row[-1] > 0:
+        # scale * row with each pivot variable substituted.
+        free_row = [scale * row[f] for f in free_vars] + [scale * row[-1]]
+        for var, expr in exprs:
+            a = row[var]
+            if a:
+                free_row = [v - a * e for v, e in zip(free_row, expr)]
+        if not any(free_row[:-1]):
+            if free_row[-1] > 0:
                 return None
             continue
-        free_row.append(row[-1])
-        reduced.add(_primitive(free_row))
+        reduced.append(_primitive(free_row))
 
-    solved = _fourier_motzkin_point(len(free_vars), list(reduced))
+    solved = _fourier_motzkin_point(len(free_vars), reduced)
     if solved is None:
         return None
-    numerators, denominator = solved
+    free_numerators, denominator = solved
 
-    values: list[Fraction] = [Fraction(0)] * nvars
-    free_numerators = [0] * nvars
-    for var, num in zip(free_vars, numerators):
-        values[var] = Fraction(num, denominator)
-        free_numerators[var] = num
-    for var, row in pivots:
-        rest = sum(a * p for a, p in zip(row, free_numerators) if a)
-        values[var] = Fraction(row[-1] * denominator - rest, row[var] * denominator)
-    return values
+    # Every coordinate as an integer numerator over common = denominator * scale.
+    common = denominator * scale
+    numerators = [0] * nvars
+    for var, num in zip(free_vars, free_numerators):
+        numerators[var] = num * scale
+    for var, expr in exprs:
+        numerators[var] = expr[-1] * denominator - sum(
+            e * num for e, num in zip(expr, free_numerators) if e
+        )
+    if as_integers:
+        return numerators, common
+    return [Fraction(num, common) for num in numerators]
+
+
+def _tightest(rows: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """One row per direction: of rows whose heads are positive multiples of
+    each other, the one with the largest bound c / gcd(head) implies the
+    rest, so only it is kept.  The polyhedron does not change."""
+    best: dict[tuple[int, ...], tuple[int, int, tuple[int, ...]]] = {}
+    for row in rows:
+        head = row[:-1]
+        g = gcd(*head)
+        direction = tuple(a // g for a in head) if g > 1 else head
+        kept = best.get(direction)
+        if kept is None or row[-1] * kept[1] > kept[0] * g:
+            best[direction] = (row[-1], g, row)
+    return [row for _, _, row in best.values()]
 
 
 def _fourier_motzkin_point(
-    nvars: int, ineqs: list[tuple[int, ...]]
+    nvars: int, ineqs: Sequence[tuple[int, ...]]
 ) -> Optional[tuple[list[int], int]]:
     """Point satisfying sum(a*x) >= c constraints, by variable elimination.
 
-    Rows are integer tuples (a_1, ..., a_n, c).  The point comes back as
-    integer numerators over one positive common denominator.  The last
-    variable is eliminated first and set to its largest lower bound (else
-    its smallest upper bound, else 0) once the others are fixed.
+    Rows are integer tuples (a_1, ..., a_n, c), each with a nonzero head.
+    The point comes back as integer numerators over one positive common
+    denominator.  The last variable is eliminated first; once the others
+    are fixed it is set to its largest lower bound (else its smallest
+    upper bound, else 0).  Each system keeps one row per direction
+    (`_tightest`) before its variable is eliminated.
     """
     if nvars == 0:
         return ([], 1) if all(row[-1] <= 0 for row in ineqs) else None
+    ineqs = _tightest(ineqs)
     var = nvars - 1
     lowers = []  # a > 0: x_var >= (c - head . x) / a
     uppers = []  # a < 0: x_var <= (c - head . x) / a
-    rest: set[tuple[int, ...]] = set()
+    rest = []
     for row in ineqs:
         a = row[var]
-        if a == 0:
-            rest.add(row[:var] + row[-1:])
-        elif a > 0:
+        if a > 0:
             lowers.append(row)
-        else:
+        elif a:
             uppers.append(row)
+        else:
+            rest.append(row[:var] + (row[-1],))
     for lo in lowers:
         a_lo = lo[var]
         for up in uppers:
@@ -166,15 +216,16 @@ def _fourier_motzkin_point(
                 if combined[-1] > 0:
                     return None
                 continue
-            rest.add(_primitive(combined))
-    solved = _fourier_motzkin_point(var, list(rest))
+            rest.append(_primitive(combined))
+    solved = _fourier_motzkin_point(var, rest)
     if solved is None:
         return None
     point, denominator = solved
 
     def bound(row: tuple[int, ...]) -> tuple[int, int]:
-        # (c - head . x) / a at x = point / denominator, as (num, den > 0).
-        num = row[-1] * denominator - sum(a * p for a, p in zip(row, point) if a)
+        # (c - head . x) / a at x = point / denominator, as (num, den > 0);
+        # map stops at the end of point, before x_var.
+        num = row[-1] * denominator - sum(map(mul, row, point))
         den = row[var] * denominator
         return (num, den) if den > 0 else (-num, -den)
 

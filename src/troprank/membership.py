@@ -34,8 +34,7 @@ from .core import (
     Position,
     SymmetricMatrix,
     quartets,
-    rank_one_generator,
-    star_generator,
+    unique_minima,
 )
 from .trees import four_point_violation, realize_tree  # noqa: F401  (re-exported)
 
@@ -97,28 +96,49 @@ def basis_for(name: str, n: int) -> tuple[Relation, ...]:
     raise ValueError(f"unknown tropical basis {name!r}; expected one of {BASES}")
 
 
+# The membership tests proper take integer entries keyed by position (see
+# `scaled_to_integers`); `verify` runs them on entries it scaled itself.
+
+
+def rank_one_holds(n: int, values: dict[Position, int]) -> bool:
+    """m = v^T (+) v: v_i = m_ii / 2 is forced, so 2 m_ij = m_ii + m_jj."""
+    return all(
+        2 * values[i, j] == values[i, i] + values[j, j]
+        for i, j in itertools.combinations(range(1, n + 1), 2)
+    )
+
+
+def star_tree_holds(n: int, values: dict[Position, int]) -> bool:
+    """m is the projection of v^T (+) v: 2 v_1 = m_12 + m_13 - m_23 and
+    v_j = m_1j - v_1 are forced, so every m_ij with 2 <= i < j must equal
+    v_i + v_j (always true for n = 3)."""
+    v1 = values[1, 2] + values[1, 3] - values[2, 3]  # 2 v_1
+    doubled = [0, v1] + [2 * values[1, j] - v1 for j in range(2, n + 1)]  # 2 v_j
+    return all(
+        2 * values[i, j] == doubled[i] + doubled[j]
+        for i, j in itertools.combinations(range(2, n + 1), 2)
+    )
+
+
+def four_point_holds(n: int, values: dict[Position, int]) -> bool:
+    """No Pluecker relation has a unique minimum."""
+    return next(unique_minima(quartets(n), values), None) is None
+
+
 def is_rank1_symmetric(m: SymmetricMatrix) -> bool:
     """True when every 2x2 minor vanishes; equivalently m = v^T (+) v."""
-    try:
-        rank_one_generator(m)
-    except ValueError:
-        return False
-    return True
+    return rank_one_holds(m.n, m.scaled_to_integers()[1])
 
 
 def is_star_tree(m: DissimilarityMatrix) -> bool:
     """True when all three pairings agree on every quadruple (n=3: always)."""
-    try:
-        star_generator(m)
-    except ValueError:
-        return False
-    return True
+    return star_tree_holds(m.n, m.scaled_to_integers()[1])
 
 
 def is_tree_matrix(m: DissimilarityMatrix) -> bool:
     """Four-point condition: minimum pairing attained twice per quadruple,
     i.e. no Pluecker relation has a unique minimum (decided in integers)."""
-    return four_point_violation(m) is None
+    return four_point_holds(m.n, m.scaled_to_integers()[1])
 
 
 def is_tropically_singular_3x3(m: SymmetricMatrix) -> bool:
@@ -159,10 +179,8 @@ def pfaffian_minimizers(m: DissimilarityMatrix) -> list[tuple[Position, ...]]:
     """Perfect matchings on six points attaining the minimal weight sum."""
     if m.n != 6:
         raise ValueError("the matching polynomial is a 6x6 construction")
-    weights = {
-        matching: sum((m[p] for p in matching), Fraction(0))
-        for matching in PERFECT_MATCHINGS_6
-    }
+    _, values = m.scaled_to_integers()
+    weights = {matching: sum(values[p] for p in matching) for matching in PERFECT_MATCHINGS_6}
     lo = min(weights.values())
     return [matching for matching in PERFECT_MATCHINGS_6 if weights[matching] == lo]
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -362,31 +362,33 @@ class _AssignmentSearcher:
     def __init__(self, m: Matrix, notion: str, hypergraph: DeficiencyHypergraph):
         self.m = m
         self.notion = notion
-        degree = {p: 0 for p in m.positions()}
-        adjacency: dict[Position, set[Position]] = {p: set() for p in m.positions()}
-        for e in hypergraph.graph_edges():
-            u, v = sorted(e)
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-            degree[u] += 1
-            degree[v] += 1
-        self.order = sorted(m.positions(), key=lambda p: (-degree[p], p))
+        positions = m.positions()
+        adjacency: dict[Position, list[Position]] = {p: [] for p in positions}
+        for u, v in hypergraph.graph_edges():
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        self.order = sorted(positions, key=lambda p: (-len(adjacency[p]), p))
         self.index = {p: i for i, p in enumerate(self.order)}
-        self.adj_mask = [0] * len(self.order)
-        for p, nbs in adjacency.items():
-            for q in nbs:
-                self.adj_mask[self.index[p]] |= 1 << self.index[q]
+        self.adj_mask = [sum(1 << self.index[q] for q in adjacency[p]) for p in self.order]
         self.feasible_cache: dict[frozenset, Optional[ClassWitness]] = {}
         self.eager = notion in (SYM, STAR)
         # Slot checks work on the entries times `scale`, all integers; a
         # witness is divided by `scale` again.
         self.scale, self.values = m.scaled_to_integers()
-        # Every generator dominates the target: the ">= entry" edges that
-        # each two-variable slot system starts from.
-        dominates = TwoVarSystem(m.n)
+
+    @cached_property
+    def dominance_edges(self) -> list[tuple[int, int, int]]:
+        """The ">= entry" edges (every generator dominates the target) that
+        each two-variable slot system starts from; tree searches build them
+        only for the star fallback."""
+        dominates = TwoVarSystem(self.m.n)
         for (i, j), value in self.values.items():
             dominates.add_sum_ge(i - 1, j - 1, value)
-        self.dominance_edges = dominates.edges
+        return dominates.edges
+
+    @cached_property
+    def pairing_sums(self) -> PairingSums:
+        return _pairing_sums(self.m.n, self.values, self.index)
 
     def search(self, r: int) -> Optional[list[ClassWitness]]:
         order = self.order
@@ -443,7 +445,7 @@ class _AssignmentSearcher:
         return ("vector", tuple(Fraction(d, 2 * self.scale) for d in doubled))
 
     def _tree_witness(self, cls: frozenset) -> Optional[ClassWitness]:
-        forced = _forced_splits(self.m.n, self.values, cls)
+        forced = _forced_splits(self.pairing_sums, sum(1 << self.index[p] for p in cls))
         if forced is None:
             return None
         if not forced:
@@ -464,23 +466,45 @@ class _AssignmentSearcher:
         eqs = []
         ineqs = []
         for pos, path in zip(self.m.positions(), topology.paths):
-            row = [(path >> e) & 1 for e in range(nvars)]
-            (eqs if pos in cls else ineqs).append((row, self.values[pos]))
+            (eqs if pos in cls else ineqs).append((_mask_row(path, nvars), self.values[pos]))
         for e, (u, _) in enumerate(topology.edges):
-            if u > n:  # u < v, so both ends are internal
-                row = [0] * nvars
-                row[e] = -1
-                ineqs.append((row, 0))
-        point = solve_linear_feasibility(nvars, eqs, ineqs)
-        if point is None:
+            if u > n:  # u < v, so both ends are internal: weight <= 0
+                ineqs.append((_mask_row(1 << e, nvars, -1), 0))
+        solved = solve_linear_feasibility(nvars, eqs, ineqs, as_integers=True)
+        if solved is None:
             return None
-        return topology.build_tree(n, [x / self.scale for x in point])
+        numerators, denominator = solved
+        denominator *= self.scale
+        return topology.build_tree(n, [Fraction(x, denominator) for x in numerators])
 
 
-def _forced_splits(
-    n: int, values: dict[Position, int], cls: frozenset
-) -> Optional[list[tuple[int, int]]]:
-    """(quartet, split code) pairs that every tree witness of `cls` shows.
+@lru_cache(maxsize=4096)
+def _mask_row(mask: int, nvars: int, sign: int = 1) -> tuple[int, ...]:
+    """LP coefficients of the edge set `mask`: `sign` on its edges, else 0."""
+    return tuple(sign * (mask >> e & 1) for e in range(nvars))
+
+
+# Per quartet: its three pairings as bitmasks of their two positions, and
+# their target sums.
+PairingSums = tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]
+
+
+def _pairing_sums(n: int, values: dict[Position, int], index: dict[Position, int]) -> PairingSums:
+    """The pairings of each quartet of `core.quartets(n)`, position p
+    standing for bit index[p], with their sums on `values`."""
+    bit = {p: 1 << k for p, k in index.items()}
+    return tuple(
+        (
+            (bit[a0] | bit[b0], bit[a1] | bit[b1], bit[a2] | bit[b2]),
+            (values[a0] + values[b0], values[a1] + values[b1], values[a2] + values[b2]),
+        )
+        for (a0, b0), (a1, b1), (a2, b2) in quartets(n)
+    )
+
+
+def _forced_splits(pairing_sums: PairingSums, slot: int) -> Optional[list[tuple[int, int]]]:
+    """(quartet, split code) pairs that every tree witness of a slot shows;
+    `slot` is the bitmask of its positions, as in `pairing_sums`.
 
     A tree matrix attains the minimum of a quartet's three pairing sums
     twice, and its split pairing carries the largest sum (internal edges
@@ -490,13 +514,16 @@ def _forced_splits(
     None when some quartet has two such pairings: no tree fits the slot.
     """
     forced = []
-    for q, pairings in enumerate(quartets(n)):
-        sums = [values[a] + values[b] for a, b in pairings]
-        inside = [s for (a, b), s in zip(pairings, sums) if a in cls and b in cls]
-        if not inside:
+    for q, ((m0, m1, m2), (s0, s1, s2)) in enumerate(pairing_sums):
+        # low: the smallest sum of a pairing inside the slot.
+        low = s0 if slot & m0 == m0 else None
+        if slot & m1 == m1 and (low is None or s1 < low):
+            low = s1
+        if slot & m2 == m2 and (low is None or s2 < low):
+            low = s2
+        if low is None:
             continue
-        low = min(inside)
-        above = [code for code, s in enumerate(sums) if s > low]
+        above = [code for code, s in enumerate((s0, s1, s2)) if s > low]
         if len(above) > 1:
             return None
         if above:

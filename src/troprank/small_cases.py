@@ -148,7 +148,8 @@ def _sym3_two_term(m: SymmetricMatrix) -> Decomposition:
         ),
         None,
     )
-    assert pair is not None, "singular normalized matrix must have a zero entry"
+    if pair is None:
+        raise CertificateError("the singular normalized matrix has no zero off-diagonal entry")
     k = next(v for v in (1, 2, 3) if v not in pair)
     i, j = pair
     second = [Fraction(0)] * 3
@@ -237,12 +238,14 @@ def star5_rank2_decompose(
         ok, witness = star5_rank2_test(m)
         if not ok:
             raise ValueError("matrix fails the rank-2 criterion")
-    assert witness is not None
+    if witness is None:
+        raise CertificateError("the star rank-2 test passed without a witness")
     if witness.trivial:
         v = star_generator(m)
         return certify(m, Decomposition(STAR, (star_summand(v), star_summand(v))))
     perm = witness.relabeling
-    assert perm is not None
+    if perm is None:
+        raise CertificateError("a non-trivial star rank-2 witness has no relabeling")
     mm = apply_permutation(m, perm)
     a = mm[(1, 2)] + mm[(3, 4)]
     block = DissimilarityMatrix.from_rows(

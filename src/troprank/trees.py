@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 from .core import (
     DissimilarityMatrix,
     Position,
-    _pad_value,
     format_decimal_or_ratio,
     frac,
     quartets,
@@ -98,9 +97,17 @@ class WeightedTree:
         for leaf in self.leaves():
             if leaf not in self.adjacency or self.degree(leaf) != 1:
                 raise ValueError(f"leaf {leaf} must be present with degree 1")
-        for u, v, w in self.edges():
-            if not self.is_leaf(u) and not self.is_leaf(v) and w > 0:
-                raise ValueError(f"internal edge ({u},{v}) has positive weight {w}")
+        n = self.n_leaves
+        positive = [
+            (u, v, w)
+            for u, nb in self.adjacency.items()
+            if not 1 <= u <= n
+            for v, w in nb.items()
+            if u < v and w > 0 and not 1 <= v <= n
+        ]
+        if positive:
+            u, v, w = min(positive)
+            raise ValueError(f"internal edge ({u},{v}) has positive weight {w}")
 
     def _connected(self) -> bool:
         verts = self.vertices()
@@ -127,32 +134,64 @@ class WeightedTree:
         return dist
 
     def leaf_distance_matrix(self) -> DissimilarityMatrix:
-        """Leaf distances, summed in integers: one depth-first pass per leaf
-        over the weights times the lcm of their denominators."""
+        """Leaf distances, summed in integers (the weights times the lcm of
+        their denominators), each pair once: a depth-first pass from leaf 1
+        hands every vertex the (leaf, distance) lists of its subtrees, and
+        two leaves meet at the vertex joining their lists."""
         n = self.n_leaves
-        scale = math.lcm(*(w.denominator for nb in self.adjacency.values() for w in nb.values()))
-        weights = {
-            u: {v: w.numerator * (scale // w.denominator) for v, w in nb.items()}
-            for u, nb in self.adjacency.items()
-        }
-        scaled = WeightedTree(n, weights)
+        adjacency = self.adjacency
+        scale = math.lcm(*(w.denominator for nb in adjacency.values() for w in nb.values()))
+        parent = {1: 0}
+        order = []
+        stack = [1]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for v in adjacency[u]:
+                if v not in parent:
+                    parent[v] = u
+                    stack.append(v)
+        dist = [[0] * (n + 1) for _ in range(n + 1)]
+        below: dict[int, list[tuple[int, int]]] = {}
+        for u in reversed(order):
+            reach = [(u, 0)] if u <= n else []
+            for v, w in adjacency[u].items():
+                if v == parent[u]:
+                    continue
+                w = w.numerator * (scale // w.denominator)
+                sub = [(leaf, d + w) for leaf, d in below.pop(v)]
+                for a, da in reach:
+                    for b, db in sub:
+                        dist[a][b] = dist[b][a] = da + db
+                reach += sub
+            below[u] = reach
+        fractions: dict[int, Fraction] = {}  # one Fraction per distinct distance
         values = []
         for i in range(1, n):
-            dist = scaled.distances_from(i)
-            values.extend(Fraction(dist[j], scale) for j in range(i + 1, n + 1))
+            for d in dist[i][i + 1 :]:
+                f = fractions.get(d)
+                if f is None:
+                    f = fractions[d] = Fraction(d, scale)
+                values.append(f)
         return DissimilarityMatrix(n, tuple(values))
 
     def simplified(self) -> "WeightedTree":
         """Contract zero-weight internal edges and unsplice degree-2 internals."""
         t = self.copy()
+        n = t.n_leaves
         changed = True
         while changed:
             changed = False
-            for u, v, w in t.edges():
-                if w == 0 and not t.is_leaf(u) and not t.is_leaf(v):
-                    t._contract(u, v)
-                    changed = True
-                    break
+            zero = [
+                (u, v)
+                for u, nb in t.adjacency.items()
+                if not 1 <= u <= n
+                for v, w in nb.items()
+                if u < v and w == 0 and not 1 <= v <= n
+            ]
+            if zero:  # contract the first in `edges()` order
+                t._contract(*min(zero))
+                changed = True
             else:
                 for v in list(t.adjacency):
                     if not t.is_leaf(v) and t.degree(v) == 2:
@@ -221,17 +260,35 @@ def realize_tree(m: DissimilarityMatrix) -> WeightedTree:
     The exhaustive split trial sidesteps non-monotone cumulative lengths
     caused by negative pendant weights.
 
-    It runs on the even integers d = -2 * scale * m (scale: the lcm of the
+    It runs on the even integers 2 * scale * m (scale: the lcm of the
     entries' denominators), so each halving is exact and every comparison,
     hence the pair, split and shape, is as on m; the weights are divided
     back once, at the end.
     """
     scale, values = m.scaled_to_integers()
-    violation = _violation(m.n, values)
+    return _with_denominator(_realize_scaled(m.n, {p: 2 * v for p, v in values.items()}), 2 * scale)
+
+
+def _with_denominator(tree: WeightedTree, den: int) -> WeightedTree:
+    """The tree with each integer weight w replaced by w / den, validated."""
+    adjacency = tree.adjacency
+    for u, nb in adjacency.items():
+        for v, w in nb.items():
+            if u < v:
+                nb[v] = adjacency[v][u] = Fraction(w, den)
+    tree.validate()
+    return tree
+
+
+def _realize_scaled(n: int, values: dict[Position, int]) -> WeightedTree:
+    """`realize_tree` on even integer entries (keyed (i, j), i < j): the
+    tree with integer weights in the entries' unit.  Every positive
+    multiple of the entries gives the same tree, its weights scaled alike.
+    """
+    violation = _violation(n, values)
     if violation is not None:
         raise NotTreeMatrixError(f"four-point condition fails on quadruple {violation}")
-    n = m.n
-    d = {p: -2 * v for p, v in values.items()}  # keyed (i, j) with i < j
+    d = {p: -v for p, v in values.items()}  # the classical orientation
 
     # Base: three leaves around a hub.
     next_id = n + 1
@@ -259,8 +316,7 @@ def realize_tree(m: DissimilarityMatrix) -> WeightedTree:
     tree = tree.simplified()
     for nb in tree.adjacency.values():
         for v, w in nb.items():
-            nb[v] = Fraction(-w, 2 * scale)
-    tree.validate()
+            nb[v] = -w
     return tree
 
 
@@ -318,7 +374,8 @@ def embed_tree_block(
 
     Realizes the block, then hangs the remaining leaves off one internal
     vertex with pendant weight max(c/2, c - nearest leaf distance), the
-    same padding rule used for rank-one extensions.
+    same padding rule used for rank-one extensions.  Runs on integers
+    (`_in_unit`, `_embed_scaled`).
     """
     c = frac(c)
     idx = list(positions)
@@ -326,15 +383,32 @@ def embed_tree_block(
         raise ValueError("positions must be distinct and match the block size")
     if any(not 1 <= i <= n for i in idx) or n <= len(idx):
         raise ValueError("positions must sit strictly inside 1..n")
-    small = realize_tree(block)
+    scale, values = block.scaled_to_integers()
+    unit, k, padding = _in_unit(scale, c)
+    small = _realize_scaled(block.n, {p: k * v for p, v in values.items()})
+    return _with_denominator(_embed_scaled(small, idx, n, padding), unit)
+
+
+def _in_unit(scale: int, c: Fraction) -> tuple[int, int, int]:
+    """(unit, k, c * unit) for integer tree work on entries scaled to
+    integers by `scale`, with padding constant c.  Weights count 1 / unit,
+    and a scaled entry times k is the entry in units.  unit = 2 lcm(scale,
+    denominator of c) makes every entry and c even in units, so c / 2 and
+    the halvings of `_realize_scaled` stay integers."""
+    unit = 2 * math.lcm(scale, c.denominator)
+    return unit, unit // scale, c.numerator * (unit // c.denominator)
+
+
+def _embed_scaled(small: WeightedTree, idx: Sequence[int], n: int, c: int) -> WeightedTree:
+    """`embed_tree_block` on an integer tree from `_realize_scaled`, with
+    padding constant `c` even in the tree's unit; weights stay integers."""
     tree = small.relabelled_leaves({k + 1: idx[k] for k in range(len(idx))}, n)
     anchor_new = next(v for v in tree.vertices() if not tree.is_leaf(v))
     distances = tree.distances_from(anchor_new)
-    pendant = _pad_value([distances[leaf] for leaf in idx], c)
+    pendant = max(c // 2, c - min(distances[leaf] for leaf in idx))
     for leaf in range(1, n + 1):
         if leaf not in idx:
             _add_edge(tree.adjacency, leaf, anchor_new, pendant)
-    tree.validate()
     return tree
 
 

@@ -46,7 +46,15 @@ from .decomposition import (
     verified_padded,
 )
 from .membership import pfaffian_minimizers
-from .trees import WeightedTree, embed_tree_block, realize_tree
+from .trees import (
+    WeightedTree,
+    _embed_scaled,
+    _in_unit,
+    _realize_scaled,
+    _with_denominator,
+    embed_tree_block,
+    realize_tree,
+)
 
 
 def finiteness_violation(m: SymmetricMatrix) -> Optional[Position]:
@@ -176,24 +184,35 @@ def _sym_relaxed(m0, idx: tuple[int, ...], c) -> tuple[list[dict[int, Fraction]]
 
 
 def _sym_frame3(m0, idx: tuple[int, ...], forbid_first: bool) -> tuple[int, int, int]:
-    # Need a frame (x, y, z) with M_xy >= M_yz; when the third slot will be
-    # relaxed it must avoid idx[0].  Such a frame always exists.
+    """The first frame (x, y, z) in permutation order with M_xy >= M_yz;
+    when the third slot will be relaxed it must avoid idx[0].
+
+    Such a frame always exists: with a = idx[0], both (b, a, c) and
+    (c, a, b) are allowed, and M_ab >= M_ac or M_ac >= M_ab.
+    """
     for x, y, z in itertools.permutations(idx):
         if forbid_first and z == idx[0]:
             continue
         if m0[(x, y)] >= m0[(y, z)]:
             return x, y, z
-    raise AssertionError("no admissible three-element frame")
+    raise CertificateError("no admissible three-element frame")
 
 
 def _sym_split_step(m0, idx: tuple[int, ...], c) -> list[dict[int, Fraction]]:
+    """Split off the two rows a, b through a minimal entry, recurse on the
+    rest and patch a, b back in.
+
+    The recursion may relax one diagonal entry of rest, but never the one
+    at rest[0] = head (`_sym_relaxed` keeps its relaxed index off idx[0]),
+    and the patch blocks below fix the diagonal entry of every other index
+    of rest, so nothing stays relaxed.
+    """
     a, b = min(itertools.combinations(idx, 2), key=lambda p: (m0[p], p))
     rest = tuple(t for t in idx if t not in (a, b))
     head = rest[0]
     if m0[(a, head)] < m0[(b, head)]:
         a, b = b, a
-    sub, relaxed = _sym_relaxed(m0, rest, c)
-    assert relaxed is None or relaxed != head
+    sub, _ = _sym_relaxed(m0, rest, c)
     out = list(sub)
     for i in rest[1:]:
         out.append({a: m0[(a, i)], b: m0[(b, i)], i: Fraction(0)})
@@ -237,54 +256,37 @@ def _tree6_decomposition(m: DissimilarityMatrix, c: Fraction) -> Decomposition:
     Relabel so the minimal perfect matching is {12, 34, 56}; each block
     keeps the matrix entries it is responsible for and closes its fourth
     pairing with the smaller of the two alternatives, which the matching
-    minimality makes dominant.
+    minimality makes dominant.  Runs on integers, as `embed_tree_block`
+    does (`trees._in_unit`).
     """
     matching = sorted(pfaffian_minimizers(m))[0]
     order: list[int] = [v for pair in sorted(matching) for v in pair]
-    image = [0] * 6
-    for slot, vertex in enumerate(order, start=1):
-        image[vertex - 1] = slot
-    relabeled = DissimilarityMatrix.from_function(
-        6, lambda i, j: m[(order[i - 1], order[j - 1])]
-    )
-    r = relabeled
-    x1 = min(r[(1, 3)] + r[(2, 4)], r[(1, 4)] + r[(2, 3)]) - r[(1, 2)]
-    x2 = min(r[(1, 5)] + r[(2, 6)], r[(1, 6)] + r[(2, 5)]) - r[(5, 6)]
-    x3 = min(r[(3, 5)] + r[(4, 6)], r[(3, 6)] + r[(4, 5)]) - r[(3, 4)]
-    block_a = DissimilarityMatrix.from_rows(
-        [
-            [None, r[(1, 2)], r[(1, 3)], r[(1, 4)]],
-            [r[(1, 2)], None, r[(2, 3)], r[(2, 4)]],
-            [r[(1, 3)], r[(2, 3)], None, x1],
-            [r[(1, 4)], r[(2, 4)], x1, None],
-        ]
-    )
-    block_b = DissimilarityMatrix.from_rows(
-        [
-            [None, x2, r[(1, 5)], r[(1, 6)]],
-            [x2, None, r[(2, 5)], r[(2, 6)]],
-            [r[(1, 5)], r[(2, 5)], None, r[(5, 6)]],
-            [r[(1, 6)], r[(2, 6)], r[(5, 6)], None],
-        ]
-    )
-    block_c = DissimilarityMatrix.from_rows(
-        [
-            [None, r[(3, 4)], r[(3, 5)], r[(3, 6)]],
-            [r[(3, 4)], None, r[(4, 5)], r[(4, 6)]],
-            [r[(3, 5)], r[(4, 5)], None, x3],
-            [r[(3, 6)], r[(4, 6)], x3, None],
-        ]
+    scale, values = m.scaled_to_integers()
+    unit, k, padding = _in_unit(scale, c)
+
+    def r(i: int, j: int) -> int:  # the relabeled entry, in the unit
+        a, b = order[i - 1], order[j - 1]
+        return k * values[(a, b) if a < b else (b, a)]
+
+    x1 = min(r(1, 3) + r(2, 4), r(1, 4) + r(2, 3)) - r(1, 2)
+    x2 = min(r(1, 5) + r(2, 6), r(1, 6) + r(2, 5)) - r(5, 6)
+    x3 = min(r(3, 5) + r(4, 6), r(3, 6) + r(4, 5)) - r(3, 4)
+    # Block entries keyed by block position; the fourth pairing is x.
+    blocks = (
+        ((1, 2, 3, 4), (3, 4), x1),
+        ((1, 2, 5, 6), (1, 2), x2),
+        ((3, 4, 5, 6), (3, 4), x3),
     )
     summands = []
-    for block, slots in (
-        (block_a, (1, 2, 3, 4)),
-        (block_b, (1, 2, 5, 6)),
-        (block_c, (3, 4, 5, 6)),
-    ):
-        tree = embed_tree_block(block, slots, 6, c)
+    for slots, closed, x in blocks:
+        block = {
+            (i, j): x if (i, j) == closed else r(slots[i - 1], slots[j - 1])
+            for i, j in itertools.combinations(range(1, 5), 2)
+        }
+        tree = _embed_scaled(_realize_scaled(4, block), slots, 6, padding)
         # Undo the relabeling: slot v carries original leaf order[v-1].
         tree = tree.relabelled_leaves({v: order[v - 1] for v in range(1, 7)}, 6)
-        summands.append(tree_summand(tree))
+        summands.append(tree_summand(_with_denominator(tree, unit)))
     return Decomposition(TREE, tuple(summands))
 
 

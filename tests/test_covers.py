@@ -18,7 +18,7 @@ from troprank.covers import (
     symmetric_rank_01,
     tree_rank_01,
 )
-from troprank.decomposition import verify
+from troprank.decomposition import CertificateError, verify
 
 
 
@@ -320,3 +320,40 @@ class TestSolidCoverOpenQuestion:
                 flags.append(flag)
         assert nonsolid > 5  # the interesting branch was exercised
         assert flags == [], f"solid-cover weakening candidates found: {flags}"
+
+
+class TestInternalFaults:
+    """Cover invariants fail with CertificateError (exit 5), also under
+    python -O; each test injects the fault it checks."""
+
+    def test_star_cover_with_a_foreign_element(self):
+        from troprank.covers import MULTIPARTITE, CoverElement, _star_cover_vector
+
+        element = CoverElement(MULTIPARTITE, parts=((1,), (2,)))
+        with pytest.raises(CertificateError, match="star cover holds"):
+            _star_cover_vector(element, 3)
+
+    def test_multipartite_footprint_outside_the_graph(self, monkeypatch):
+        import troprank.covers as covers_module
+
+        g = ZeroOneGraph.from_edges(4, [(1, 3), (2, 4)])
+        monkeypatch.setattr(covers_module, "_complement_parts", lambda comp, subset: ((1,), (2,)))
+        with pytest.raises(CertificateError, match="footprint escaped"):
+            min_multipartite_cover(g)
+
+    def test_ramsey_cover_element_outside_the_graph(self, monkeypatch):
+        import troprank.covers as covers_module
+
+        g = ZeroOneGraph.from_edges(4, [(1, 3), (2, 3), (3, 4)])
+        monkeypatch.setattr(covers_module, "find_clique_of_size", lambda graph, k: (1, 2, 3))
+        with pytest.raises(CertificateError, match="escapes the graph"):
+            cover_via_ramsey_witness(g, 3)
+
+    def test_ramsey_cover_missing_an_edge(self, monkeypatch):
+        import troprank.covers as covers_module
+
+        g = ZeroOneGraph.from_edges(4, list(itertools.combinations(range(1, 5), 2)))
+        monkeypatch.setattr(covers_module, "find_clique_of_size", lambda graph, k: None)
+        monkeypatch.setattr(covers_module, "find_independent_set_of_size", lambda graph, k: (1, 2))
+        with pytest.raises(CertificateError, match="misses an edge"):
+            cover_via_ramsey_witness(g, 2)

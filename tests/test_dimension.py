@@ -2,7 +2,7 @@
 
 import pytest
 
-from troprank.decomposition import STAR, SYM, TREE
+from troprank.decomposition import STAR, SYM, TREE, CertificateError
 from troprank.dimension import (
     dimension_formula,
     dimension_report,
@@ -72,6 +72,18 @@ class TestSampledDimension:
             assert sampled_local_dimension(notion, n, r, 3, 5) <= dimension_formula(
                 notion, n, r
             )
+
+    def test_sample_above_formula_is_a_certificate_error(self, monkeypatch):
+        # An internal fault (exit 5), raised under python -O as well.
+        import troprank.dimension as dimension_module
+
+        monkeypatch.setattr(
+            dimension_module,
+            "sampled_local_dimension",
+            lambda notion, n, r, trials, seed: dimension_formula(notion, n, r) + 1,
+        )
+        with pytest.raises(CertificateError, match="exceeds the formula"):
+            dimension_report(SYM, 4, 1)
 
     def test_deterministic_given_seed(self):
         a = sampled_local_dimension(STAR, 6, 3, trials=3, seed=9)

@@ -2,18 +2,140 @@
 recovery, and the two-variable constraint solver.
 
 The two solvers overlap on sum-constraint systems, so each serves as an
-independent oracle for the other there.
+independent oracle for the other there.  `reference_solve` is the solver
+as it was before integer rows skipped the lcm pass and Fourier-Motzkin
+kept one row per direction; the point is a property of the polyhedron,
+so both must return the same one.
 """
 
 import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
+import troprank.rank as rank_module
 from troprank.exactlp import TwoVarSystem, rational_rank, solve_linear_feasibility
 from troprank.rank import exact_rank
 
 from conftest import random_dissimilarity
+
+
+def _reference_integer_row(coeffs, const):
+    values = [*coeffs, const]
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _reference_primitive(row):
+    g = gcd(*row)
+    return tuple(v // g for v in row) if g > 1 else tuple(row)
+
+
+def _reference_eliminate(target, source, var):
+    s, t = source[var], target[var]
+    return _reference_primitive([s * a - t * b for a, b in zip(target, source)])
+
+
+def reference_solve(nvars, equalities, inequalities):
+    """Every row through the lcm pass, exact duplicates dropped, no other
+    row pruned; the point as Fractions."""
+    pivots = []
+    for coeffs, const in equalities:
+        row = _reference_primitive(_reference_integer_row(coeffs, const))
+        for var, pivot_row in pivots:
+            if row[var]:
+                row = _reference_eliminate(row, pivot_row, var)
+        pivot = next((k for k in range(nvars) if row[k]), None)
+        if pivot is None:
+            if row[-1]:
+                return None
+            continue
+        if row[pivot] < 0:
+            row = tuple(-v for v in row)
+        pivots = [
+            (var, _reference_eliminate(old, row, pivot) if old[pivot] else old)
+            for var, old in pivots
+        ]
+        pivots.append((pivot, row))
+    pivot_vars = {var for var, _ in pivots}
+    free_vars = [k for k in range(nvars) if k not in pivot_vars]
+    reduced = set()
+    for coeffs, const in inequalities:
+        row = _reference_integer_row(coeffs, const)
+        for var, pivot_row in pivots:
+            if row[var]:
+                row = _reference_eliminate(row, pivot_row, var)
+        free_row = [row[v] for v in free_vars]
+        if not any(free_row):
+            if row[-1] > 0:
+                return None
+            continue
+        free_row.append(row[-1])
+        reduced.add(_reference_primitive(free_row))
+    solved = _reference_fourier_motzkin(len(free_vars), list(reduced))
+    if solved is None:
+        return None
+    numerators, denominator = solved
+    values = [Fraction(0)] * nvars
+    free_numerators = [0] * nvars
+    for var, num in zip(free_vars, numerators):
+        values[var] = Fraction(num, denominator)
+        free_numerators[var] = num
+    for var, row in pivots:
+        rest = sum(a * p for a, p in zip(row, free_numerators) if a)
+        values[var] = Fraction(row[-1] * denominator - rest, row[var] * denominator)
+    return values
+
+
+def _reference_fourier_motzkin(nvars, ineqs):
+    if nvars == 0:
+        return ([], 1) if all(row[-1] <= 0 for row in ineqs) else None
+    var = nvars - 1
+    lowers, uppers, rest = [], [], set()
+    for row in ineqs:
+        a = row[var]
+        if a == 0:
+            rest.add(row[:var] + row[-1:])
+        elif a > 0:
+            lowers.append(row)
+        else:
+            uppers.append(row)
+    for lo in lowers:
+        for up in uppers:
+            combined = [lo[var] * u - up[var] * l for l, u in zip(lo, up)]
+            del combined[var]
+            if not any(combined[:-1]):
+                if combined[-1] > 0:
+                    return None
+                continue
+            rest.add(_reference_primitive(combined))
+    solved = _reference_fourier_motzkin(var, list(rest))
+    if solved is None:
+        return None
+    point, denominator = solved
+
+    def bound(row):
+        num = row[-1] * denominator - sum(a * p for a, p in zip(row, point) if a)
+        den = row[var] * denominator
+        return (num, den) if den > 0 else (-num, -den)
+
+    lo = hi = None
+    for row in lowers:
+        num, den = bound(row)
+        if lo is None or num * lo[1] > lo[0] * den:
+            lo = (num, den)
+    for row in uppers:
+        num, den = bound(row)
+        if hi is None or num * hi[1] < hi[0] * den:
+            hi = (num, den)
+    if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
+        return None
+    num, den = lo or hi or (0, 1)
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    common = lcm(denominator, den)
+    return [p * (common // denominator) for p in point] + [num * (common // den)], common
 
 
 def check_point(point, equalities, inequalities):
@@ -139,6 +261,69 @@ class TestLinearFeasibility:
                 [(coeffs, k * c) for coeffs, c in ineqs],
             )
             assert scaled == [k * x for x in solve_linear_feasibility(nvars, eqs, ineqs)]
+
+
+class TestAgainstReference:
+    def system_with_parallel_rows(self, rng, nvars):
+        """Random rows (int or rational) plus copies of some of them:
+        exact duplicates, positive multiples with a looser or tighter
+        bound, and whole-row rescalings."""
+        def coeff():
+            v = rng.randint(-3, 3)
+            return v if rng.random() < 0.6 else Fraction(v, rng.randint(1, 4))
+
+        eqs, ineqs = [], []
+        for _ in range(rng.randint(1, nvars + 3)):
+            coeffs = [coeff() for _ in range(nvars)]
+            const = rng.randint(-6, 6)
+            (eqs if rng.random() < 0.15 else ineqs).append((coeffs, const))
+        for coeffs, const in list(ineqs):
+            kind = rng.choice(("duplicate", "parallel", "scaled", "none"))
+            k = rng.randint(2, 4)
+            if kind == "duplicate":
+                ineqs.append((list(coeffs), const))
+            elif kind == "parallel":
+                ineqs.append(([k * a for a in coeffs], k * const + rng.randint(-3, 3)))
+            elif kind == "scaled":
+                ineqs.append(([Fraction(a, k) for a in coeffs], Fraction(const, k)))
+        rng.shuffle(ineqs)
+        return eqs, ineqs
+
+    def test_parallel_and_scaled_rows_give_the_reference_point(self):
+        rng = random.Random(9100)
+        outcomes = set()
+        for _ in range(400):
+            nvars = rng.randint(1, 5)
+            eqs, ineqs = self.system_with_parallel_rows(rng, nvars)
+            expected = reference_solve(nvars, eqs, ineqs)
+            assert solve_linear_feasibility(nvars, eqs, ineqs) == expected
+            outcomes.add(expected is None)
+            if expected is not None:
+                check_point(expected, eqs, ineqs)
+                nums, den = solve_linear_feasibility(nvars, eqs, ineqs, as_integers=True)
+                assert den > 0 and all(type(x) is int for x in nums)
+                assert [Fraction(x, den) for x in nums] == expected
+        assert outcomes == {True, False}
+
+    def test_every_tree7_search_lp_gives_the_reference_point(self, monkeypatch):
+        # The ten base matrices of the tree7-search benchmark workload.
+        calls = []
+        solve = rank_module.solve_linear_feasibility
+
+        def recording(nvars, eqs, ineqs, **kwargs):
+            calls.append((nvars, eqs, ineqs))
+            return solve(nvars, eqs, ineqs, **kwargs)
+
+        monkeypatch.setattr(rank_module, "solve_linear_feasibility", recording)
+        rng = random.Random(5)
+        for _ in range(10):
+            exact_rank(random_dissimilarity(rng, 7, 0, 3), "tree")
+        feasible = 0
+        for nvars, eqs, ineqs in calls:
+            expected = reference_solve(nvars, eqs, ineqs)
+            assert solve(nvars, eqs, ineqs) == expected
+            feasible += expected is not None
+        assert 0 < feasible < len(calls)
 
 
 class TestPinnedTreeDecomposition:

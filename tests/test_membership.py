@@ -16,6 +16,7 @@ from troprank.core import (
     project,
     quartets,
     rank_one_symmetric,
+    unique_minima,
 )
 from troprank.deficiency import build_deficiency
 from troprank.membership import (
@@ -192,6 +193,24 @@ class TestFourPointKernel:
                 trees += expected is None
                 late += expected is not None and expected != (1, 2, 3, 4)
         assert violations > 100 and trees > 50 and late > 30
+
+    def test_three_term_hits_match_the_generic_loop(self):
+        # `unique_minima` unrolls three-term relations; the deficiency
+        # builder reads every hit, so each hit and its index must be the
+        # generic loop's, on small values with many ties.
+        rng = random.Random(4242)
+        hits = {0: 0, 1: 0, 2: 0}
+        for n in range(4, 9):
+            for _ in range(30):
+                values = {p: rng.randint(0, 3) for p in offdiag_positions(n)}
+                expected = []
+                for relation in quartets(n):
+                    sums = [values[a] + values[b] for a, b in relation]
+                    if sums.count(min(sums)) == 1:
+                        expected.append((relation, sums.index(min(sums))))
+                        hits[sums.index(min(sums))] += 1
+                assert list(unique_minima(quartets(n), values)) == expected
+        assert min(hits.values()) > 100
 
 
 class TestTropicalSingularity:

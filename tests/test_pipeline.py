@@ -15,7 +15,9 @@ systems and the 5x5 closed forms moved to integer entry: every other input
 is an integer matrix, which cannot catch a wrong denominator.  The
 `tree6-rational` and `tree7-rational` pins and the `realize_tree` Newick
 pins were recorded before leaf distances, tree insertion and the
-four-point test moved to integers.
+four-point test moved to integers; the `tree8-rational` pins, the only
+ones of the tree peel at n = 8, before the tree LP rows, the peel and
+`verify` did.
 """
 
 import ast
@@ -120,6 +122,19 @@ MATRICES = {
         [3, 0, 9, 3, _, "5/2", 2], ["3/2", 1, "1/3", 0, "5/2", _, 0],
         [4, 3, 1, 0, 2, 0, _],
     ],
+    # Tree rank 4, below `upper_size` 5: `exact` emits four LP tree
+    # witnesses, `bounds` the peel at n = 8 (the 6x6 matching split plus
+    # two star summands for the peeled indices 7 and 8).
+    "tree8-rational": [
+        [_, "-1/3", 9, 1, 2, "4/3", 3, -1],
+        ["-1/3", _, "-3/2", 1, 9, 4, "1/3", 9],
+        [9, "-3/2", _, 6, 2, -3, "7/3", "-3/2"],
+        [1, 1, 6, _, 7, 1, -1, 0],
+        [2, 9, 2, 7, _, "4/3", 0, 0],
+        ["4/3", 4, -3, 1, "4/3", _, 0, 1],
+        [3, "1/3", "7/3", -1, 0, 0, _, 1],
+        [-1, 9, "-3/2", 0, 0, 1, 1, _],
+    ],
 }
 
 NOTIONS_OF = {
@@ -181,6 +196,12 @@ PINS = {
     'tree7-rational star auto': (0, 4, '41b85882e9ff6b20'),
     'tree7-rational star exact': (0, 4, '41b85882e9ff6b20'),
     'tree7-rational star bounds': (3, None, 'e2eac52105479eca'),
+    'tree8-rational tree auto': (0, 4, '8a9d6b09f4afe9d9'),
+    'tree8-rational tree exact': (0, 4, '8a9d6b09f4afe9d9'),
+    'tree8-rational tree bounds': (3, None, '085372102064242d'),
+    'tree8-rational star auto': (0, 6, '977823bb55282ab5'),
+    'tree8-rational star exact': (0, 6, '977823bb55282ab5'),
+    'tree8-rational star bounds': (0, 6, 'fad2a6fee6ad388d'),
     'star5-rank1 star auto': (0, 1, 'ddd3bff25135283c'),
     'star5-rank1 star exact': (0, 1, 'cc27f3baca720db4'),
     'star5-rank1 star bounds': (0, 1, 'd18a94d064bb8dda'),
@@ -294,7 +315,7 @@ PINS = {
 
 RATIONAL = [
     "sym5-rational", "star6-rational", "star5-rational", "tree5-rational",
-    "tree6-rational", "tree7-rational",
+    "tree6-rational", "tree7-rational", "tree8-rational",
 ]
 
 

@@ -15,15 +15,20 @@ from troprank.core import (
     principal_submatrix,
     project,
     quartets,
+    rank_one_generator,
     rank_one_symmetric,
+    star_generator,
+    trop_sum_all,
 )
 from troprank.decomposition import (
     Decomposition,
     STAR,
     SYM,
     TREE,
+    VerificationReport,
     star_summand,
     verify,
+    verify_matrices,
 )
 from troprank.generators import generate, tr6_blocks, tr6_matrix
 from troprank.membership import PLUECKER, is_tree_matrix
@@ -35,6 +40,7 @@ from troprank.rank import (
     _binary_topologies,
     _candidate_topologies,
     _forced_splits,
+    _pairing_sums,
     block_matrix,
     compute_rank,
     exact_rank,
@@ -364,6 +370,123 @@ class TestVerify:
         assert not report.ok and report.summand_index == 1
 
 
+def reference_verify(m, matrices, notion):
+    """`verify_matrices` as it was before it moved to integers: Fraction
+    membership tests, `trop_sum_all`, then a compare per position."""
+    space = SymmetricMatrix if notion == SYM else DissimilarityMatrix
+    if not isinstance(m, space):
+        return VerificationReport(False, "matrix lives in the wrong space")
+    if not matrices:
+        return VerificationReport(False, "empty decomposition")
+
+    def member(summand):
+        if notion == TREE:
+            return all(
+                sums.count(min(sums)) >= 2
+                for sums in ([summand[a] + summand[b] for a, b in q] for q in quartets(m.n))
+            )
+        try:
+            (rank_one_generator if notion == SYM else star_generator)(summand)
+        except ValueError:
+            return False
+        return True
+
+    for idx, summand in enumerate(matrices):
+        if type(summand) is not type(m) or summand.n != m.n:
+            return VerificationReport(False, "summand has mismatched shape", idx)
+        if not member(summand):
+            return VerificationReport(False, "summand fails its membership test", idx)
+    total = trop_sum_all(list(matrices))
+    for pos in m.positions():
+        if total[pos] != m[pos]:
+            return VerificationReport(
+                False, f"tropical sum disagrees with the target at {pos}", None, pos
+            )
+    return VerificationReport(True)
+
+
+class TestIntegerVerify:
+    """`verify_matrices` decides in integers over one lcm; it must give the
+    Fraction reference's report, field for field."""
+
+    def rational(self, rng):
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+
+    def seeded_case(self, rng, notion):
+        n = rng.randint(4, 7)
+        if notion == SYM:
+            diag = [self.rational(rng) for _ in range(n)]
+            m = SymmetricMatrix.from_function(
+                n,
+                lambda i, j: diag[i - 1]
+                if i == j
+                else (diag[i - 1] + diag[j - 1]) / 2 + rng.randint(0, 4),
+            )
+            dec = symmetric_upper_decomposition(m)
+        else:
+            m = DissimilarityMatrix.from_function(n, lambda i, j: self.rational(rng))
+            build = star_upper_decomposition if notion == STAR else tree_upper_decomposition
+            dec = build(m)
+        return m, dec.matrices()
+
+    def broken(self, rng, m, matrices, kind):
+        """(target, summand matrices) with one defect of the given kind."""
+        mats = list(matrices)
+        k = rng.randrange(len(mats))
+        bump = Fraction(rng.choice((-1, 1)), rng.choice((1, 2, 3, 6)))
+        pos = rng.choice(m.positions())
+        if kind == "wrong summand":
+            # The target, off every variety here, or a bumped summand.
+            mats[k] = m if rng.random() < 0.5 else _bumped(mats[k], pos, bump)
+        elif kind == "wrong entry":
+            m = _bumped(m, pos, bump)
+        elif kind == "wrong shape":
+            mats[k] = principal_submatrix(mats[k], range(1, m.n))
+        elif kind == "wrong summand before a wrong shape":
+            # Summands are checked in order: the first fault is reported.
+            mats[0] = m
+            mats.append(principal_submatrix(mats[k], range(1, m.n)))
+        elif kind == "wrong space":
+            other = project(m) if isinstance(m, SymmetricMatrix) and m.n >= 3 else None
+            m = other or SymmetricMatrix.from_function(m.n, lambda i, j: 0)
+        elif kind == "empty":
+            mats = []
+        return m, mats
+
+    @pytest.mark.parametrize("notion", [SYM, STAR, TREE])
+    def test_reports_match_the_fraction_reference(self, notion):
+        rng = random.Random({SYM: 61, STAR: 62, TREE: 63}[notion])
+        failures = set()
+        for _ in range(12):
+            m, matrices = self.seeded_case(rng, notion)
+            assert verify_matrices(m, matrices, notion) == VerificationReport(True)
+            assert reference_verify(m, matrices, notion) == VerificationReport(True)
+            for kind in (
+                "wrong summand",
+                "wrong entry",
+                "wrong shape",
+                "wrong summand before a wrong shape",
+                "wrong space",
+                "empty",
+            ):
+                target, mats = self.broken(rng, m, matrices, kind)
+                report = verify_matrices(target, mats, notion)
+                assert report == reference_verify(target, mats, notion)
+                if not report:
+                    failures.add(report.failure.split(" at ")[0])
+        assert failures == {
+            "summand fails its membership test",
+            "tropical sum disagrees with the target",
+            "summand has mismatched shape",
+            "matrix lives in the wrong space",
+            "empty decomposition",
+        }
+
+
+def _bumped(m, pos, bump):
+    return type(m).from_function(m.n, lambda i, j: m[(i, j)] + (bump if (i, j) == pos else 0))
+
+
 class TestBlockMatrix:
     def test_single_copy_is_identity(self):
         m = tr6_matrix()
@@ -438,8 +561,10 @@ class TestQuartetPruning:
                 n, lambda i, j: Fraction(rng.randint(0, 6), rng.choice((1, 2, 3)))
             )
             _, values = m.scaled_to_integers()
+            index = {p: k for k, p in enumerate(m.positions())}
             for size in range(2, 2 * n):
-                forced = _forced_splits(n, values, frozenset(rng.sample(m.positions(), size)))
+                slot = sum(1 << index[p] for p in rng.sample(m.positions(), size))
+                forced = _forced_splits(_pairing_sums(n, values, index), slot)
                 if forced is None:
                     continue
                 scan = [t for t in topologies if all(t.splits[q] == c for q, c in forced)]
@@ -459,7 +584,8 @@ class TestQuartetPruning:
             searcher = _AssignmentSearcher(m, TREE, build_deficiency(m, PLUECKER))
             for _ in range(slots):
                 cls = frozenset(rng.sample(m.positions(), rng.randint(2, n + 1)))
-                forced = _forced_splits(n, searcher.values, cls)
+                slot = sum(1 << searcher.index[p] for p in cls)
+                forced = _forced_splits(searcher.pairing_sums, slot)
                 trees = [searcher._solve_topology(t, cls) for t in topologies]
                 for topology, tree in zip(topologies, trees):
                     if forced is None or any(topology.splits[q] != c for q, c in forced):
@@ -519,6 +645,22 @@ class TestUpperSize:
 
 
 class TestCertificateChecks:
+    def test_frame_search_fault_raises(self):
+        # No frame satisfies M_xy >= M_yz under an order that is never
+        # reflexive, which no real matrix has: exit 5, also under -O.
+        from troprank.upper import _sym_frame3
+
+        class Unordered:
+            def __ge__(self, other):
+                return False
+
+        class Entries:
+            def __getitem__(self, pos):
+                return Unordered()
+
+        with pytest.raises(CertificateError, match="three-element frame"):
+            _sym_frame3(Entries(), (1, 2, 3), False)
+
     def test_failed_search_verification_raises(self, monkeypatch):
         # A raise, not an assert, so the check also runs under python -O.
         import troprank.rank as rank_module

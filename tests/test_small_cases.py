@@ -33,6 +33,7 @@ from troprank.small_cases import (
     TRIANGLES,
     _minimizers,
     differ_by_transposition,
+    Star5Witness,
     star5_rank2_decompose,
     star5_rank2_test,
     sym3_rank,
@@ -202,6 +203,19 @@ class TestStar5:
         with pytest.raises(ValueError):
             star5_rank2_decompose(m)
 
+    @pytest.mark.parametrize(
+        "witness, message",
+        [(None, "without a witness"), (Star5Witness(False), "no relabeling")],
+    )
+    def test_broken_witness_is_a_certificate_error(self, monkeypatch, witness, message):
+        # Internal faults (exit 5), raised under python -O as well.
+        import troprank.small_cases as small_cases_module
+
+        m = DissimilarityMatrix.from_function(5, lambda i, j: (i * j) % 4)
+        monkeypatch.setattr(small_cases_module, "star5_rank2_test", lambda mm: (True, witness))
+        with pytest.raises(CertificateError, match=message):
+            star5_rank2_decompose(m)
+
 
 class TestTree5:
     def test_tree_matrix_rank_one(self):
@@ -260,6 +274,17 @@ class TestTree5:
             # The 22-term polynomial check against the taxonomy.
             triangles = [t for t in fraction_minimizers(P22, m) if t in TRIANGLES]
             assert (value <= 2) == (bool(triangles) or value == 1)
+
+    def test_singular_test_fault_is_a_certificate_error(self, monkeypatch):
+        # A rank-3 input (no zero in the normalized matrix) sent down the
+        # rank-2 path by a faulty singularity test: exit 5, also under -O.
+        import troprank.small_cases as small_cases_module
+
+        m = SymmetricMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        assert sym3_rank(m).value == 3
+        monkeypatch.setattr(small_cases_module, "is_tropically_singular_3x3", lambda mm: True)
+        with pytest.raises(CertificateError, match="no zero off-diagonal entry"):
+            sym3_rank(m)
 
     def test_broken_triangle_completion_is_a_certificate_error(self, monkeypatch):
         # An internal fault (exit 5), not a non-tree input (exit 2), and it

@@ -99,28 +99,9 @@ def unique_minima(relations, values) -> Iterator[tuple[tuple, int]]:
     A relation is a tuple of terms, a term a pair of positions standing for
     the sum of their two entries; `values` maps positions to integers (see
     `scaled_to_integers`), so every tie is exact.  The deficiency builder
-    reads every hit; the four-point test stops at the first.  Three-term
-    (Pluecker) relations take an unrolled comparison.
+    reads every hit; the four-point test stops at the first.
     """
     for relation in relations:
-        if len(relation) == 3:
-            (a, b), (c, d), (e, f) = relation
-            x = values[a] + values[b]
-            y = values[c] + values[d]
-            z = values[e] + values[f]
-            if x < y:
-                if x < z:
-                    yield relation, 0
-                elif z < x:
-                    yield relation, 2
-            elif y < x:
-                if y < z:
-                    yield relation, 1
-                elif z < y:
-                    yield relation, 2
-            elif z < x:
-                yield relation, 2
-            continue
         sums = [values[a] + values[b] for a, b in relation]
         low = min(sums)
         if sums.count(low) == 1:

@@ -18,10 +18,10 @@ the largest bound.
 Rows of ints enter the kernel as they are and rational rows are scaled to
 integers; every elimination step is a fraction-free integer combination,
 so the point is built from integer numerators over one common denominator
-and returned as Fractions or as those integers.  The two-variable solver
-takes integer constants only (callers scale the matrix with
-`scaled_to_integers`) and returns its model times two, all ints.  Sizes
-are tiny (at most a few dozen variables), so clarity beats asymptotics.
+and only the returned point is Fraction.  The two-variable solver takes
+integer constants only (callers scale the matrix with `scaled_to_integers`)
+and returns its model times two, all ints.  Sizes are tiny (at most a few
+dozen variables), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -77,16 +77,13 @@ def solve_linear_feasibility(
     nvars: int,
     equalities: Sequence[tuple[Sequence, object]],
     inequalities: Sequence[tuple[Sequence, object]],
-    *,
-    as_integers: bool = False,
-) -> Optional[Union[list[Fraction], tuple[list[int], int]]]:
+) -> Optional[list[Fraction]]:
     """A point satisfying sum(a*x) = c and sum(a*x) >= c systems, or None.
 
     The point is the one the module docstring defines.  Equalities are
     removed by Gaussian pivoting (first nonzero column of each reduced
     equality) and back-substitution; the free system goes through
-    Fourier-Motzkin.  The point comes back as Fractions, or with
-    `as_integers` as (integer numerators, one positive common denominator).
+    Fourier-Motzkin.
     """
     # pivots[k] = (var, row): row says sum(row[:-1] * x) = row[-1], with
     # row[var] > 0 and a zero in the column of every earlier pivot.
@@ -158,8 +155,6 @@ def solve_linear_feasibility(
         numerators[var] = expr[-1] * denominator - sum(
             e * num for e, num in zip(expr, free_numerators) if e
         )
-    if as_integers:
-        return numerators, common
     return [Fraction(num, common) for num in numerators]
 
 

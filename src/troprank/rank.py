@@ -470,12 +470,10 @@ class _AssignmentSearcher:
         for e, (u, _) in enumerate(topology.edges):
             if u > n:  # u < v, so both ends are internal: weight <= 0
                 ineqs.append((_mask_row(1 << e, nvars, -1), 0))
-        solved = solve_linear_feasibility(nvars, eqs, ineqs, as_integers=True)
-        if solved is None:
+        point = solve_linear_feasibility(nvars, eqs, ineqs)
+        if point is None:
             return None
-        numerators, denominator = solved
-        denominator *= self.scale
-        return topology.build_tree(n, [Fraction(x, denominator) for x in numerators])
+        return topology.build_tree(n, [x / self.scale for x in point])
 
 
 @lru_cache(maxsize=4096)
@@ -514,16 +512,12 @@ def _forced_splits(pairing_sums: PairingSums, slot: int) -> Optional[list[tuple[
     None when some quartet has two such pairings: no tree fits the slot.
     """
     forced = []
-    for q, ((m0, m1, m2), (s0, s1, s2)) in enumerate(pairing_sums):
-        # low: the smallest sum of a pairing inside the slot.
-        low = s0 if slot & m0 == m0 else None
-        if slot & m1 == m1 and (low is None or s1 < low):
-            low = s1
-        if slot & m2 == m2 and (low is None or s2 < low):
-            low = s2
-        if low is None:
+    for q, (masks, sums) in enumerate(pairing_sums):
+        inside = [s for mask, s in zip(masks, sums) if slot & mask == mask]
+        if not inside:
             continue
-        above = [code for code, s in enumerate((s0, s1, s2)) if s > low]
+        low = min(inside)
+        above = [code for code, s in enumerate(sums) if s > low]
         if len(above) > 1:
             return None
         if above:

@@ -97,17 +97,9 @@ class WeightedTree:
         for leaf in self.leaves():
             if leaf not in self.adjacency or self.degree(leaf) != 1:
                 raise ValueError(f"leaf {leaf} must be present with degree 1")
-        n = self.n_leaves
-        positive = [
-            (u, v, w)
-            for u, nb in self.adjacency.items()
-            if not 1 <= u <= n
-            for v, w in nb.items()
-            if u < v and w > 0 and not 1 <= v <= n
-        ]
-        if positive:
-            u, v, w = min(positive)
-            raise ValueError(f"internal edge ({u},{v}) has positive weight {w}")
+        for u, v, w in self.edges():
+            if not self.is_leaf(u) and not self.is_leaf(v) and w > 0:
+                raise ValueError(f"internal edge ({u},{v}) has positive weight {w}")
 
     def _connected(self) -> bool:
         verts = self.vertices()
@@ -178,20 +170,14 @@ class WeightedTree:
     def simplified(self) -> "WeightedTree":
         """Contract zero-weight internal edges and unsplice degree-2 internals."""
         t = self.copy()
-        n = t.n_leaves
         changed = True
         while changed:
             changed = False
-            zero = [
-                (u, v)
-                for u, nb in t.adjacency.items()
-                if not 1 <= u <= n
-                for v, w in nb.items()
-                if u < v and w == 0 and not 1 <= v <= n
-            ]
-            if zero:  # contract the first in `edges()` order
-                t._contract(*min(zero))
-                changed = True
+            for u, v, w in t.edges():
+                if w == 0 and not t.is_leaf(u) and not t.is_leaf(v):
+                    t._contract(u, v)
+                    changed = True
+                    break
             else:
                 for v in list(t.adjacency):
                     if not t.is_leaf(v) and t.degree(v) == 2:
@@ -374,8 +360,10 @@ def embed_tree_block(
 
     Realizes the block, then hangs the remaining leaves off one internal
     vertex with pendant weight max(c/2, c - nearest leaf distance), the
-    same padding rule used for rank-one extensions.  Runs on integers
-    (`_in_unit`, `_embed_scaled`).
+    same padding rule used for rank-one extensions.  Runs on integers in
+    units of 1 / unit, unit = 2 lcm(entry denominators, denominator of c):
+    every entry and c are even there, so c / 2 and the halvings of
+    `_realize_scaled` stay exact.
     """
     c = frac(c)
     idx = list(positions)
@@ -384,32 +372,18 @@ def embed_tree_block(
     if any(not 1 <= i <= n for i in idx) or n <= len(idx):
         raise ValueError("positions must sit strictly inside 1..n")
     scale, values = block.scaled_to_integers()
-    unit, k, padding = _in_unit(scale, c)
-    small = _realize_scaled(block.n, {p: k * v for p, v in values.items()})
-    return _with_denominator(_embed_scaled(small, idx, n, padding), unit)
-
-
-def _in_unit(scale: int, c: Fraction) -> tuple[int, int, int]:
-    """(unit, k, c * unit) for integer tree work on entries scaled to
-    integers by `scale`, with padding constant c.  Weights count 1 / unit,
-    and a scaled entry times k is the entry in units.  unit = 2 lcm(scale,
-    denominator of c) makes every entry and c even in units, so c / 2 and
-    the halvings of `_realize_scaled` stay integers."""
     unit = 2 * math.lcm(scale, c.denominator)
-    return unit, unit // scale, c.numerator * (unit // c.denominator)
-
-
-def _embed_scaled(small: WeightedTree, idx: Sequence[int], n: int, c: int) -> WeightedTree:
-    """`embed_tree_block` on an integer tree from `_realize_scaled`, with
-    padding constant `c` even in the tree's unit; weights stay integers."""
+    factor = unit // scale
+    small = _realize_scaled(block.n, {p: factor * v for p, v in values.items()})
     tree = small.relabelled_leaves({k + 1: idx[k] for k in range(len(idx))}, n)
     anchor_new = next(v for v in tree.vertices() if not tree.is_leaf(v))
     distances = tree.distances_from(anchor_new)
-    pendant = max(c // 2, c - min(distances[leaf] for leaf in idx))
+    padding = c.numerator * (unit // c.denominator)
+    pendant = max(padding // 2, padding - min(distances[leaf] for leaf in idx))
     for leaf in range(1, n + 1):
         if leaf not in idx:
             _add_edge(tree.adjacency, leaf, anchor_new, pendant)
-    return tree
+    return _with_denominator(tree, unit)
 
 
 def extend_tree(m: DissimilarityMatrix, n: int, c) -> DissimilarityMatrix:

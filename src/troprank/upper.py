@@ -46,15 +46,7 @@ from .decomposition import (
     verified_padded,
 )
 from .membership import pfaffian_minimizers
-from .trees import (
-    WeightedTree,
-    _embed_scaled,
-    _in_unit,
-    _realize_scaled,
-    _with_denominator,
-    embed_tree_block,
-    realize_tree,
-)
+from .trees import WeightedTree, embed_tree_block, realize_tree
 
 
 def finiteness_violation(m: SymmetricMatrix) -> Optional[Position]:
@@ -256,37 +248,54 @@ def _tree6_decomposition(m: DissimilarityMatrix, c: Fraction) -> Decomposition:
     Relabel so the minimal perfect matching is {12, 34, 56}; each block
     keeps the matrix entries it is responsible for and closes its fourth
     pairing with the smaller of the two alternatives, which the matching
-    minimality makes dominant.  Runs on integers, as `embed_tree_block`
-    does (`trees._in_unit`).
+    minimality makes dominant.
     """
     matching = sorted(pfaffian_minimizers(m))[0]
     order: list[int] = [v for pair in sorted(matching) for v in pair]
-    scale, values = m.scaled_to_integers()
-    unit, k, padding = _in_unit(scale, c)
-
-    def r(i: int, j: int) -> int:  # the relabeled entry, in the unit
-        a, b = order[i - 1], order[j - 1]
-        return k * values[(a, b) if a < b else (b, a)]
-
-    x1 = min(r(1, 3) + r(2, 4), r(1, 4) + r(2, 3)) - r(1, 2)
-    x2 = min(r(1, 5) + r(2, 6), r(1, 6) + r(2, 5)) - r(5, 6)
-    x3 = min(r(3, 5) + r(4, 6), r(3, 6) + r(4, 5)) - r(3, 4)
-    # Block entries keyed by block position; the fourth pairing is x.
-    blocks = (
-        ((1, 2, 3, 4), (3, 4), x1),
-        ((1, 2, 5, 6), (1, 2), x2),
-        ((3, 4, 5, 6), (3, 4), x3),
+    image = [0] * 6
+    for slot, vertex in enumerate(order, start=1):
+        image[vertex - 1] = slot
+    relabeled = DissimilarityMatrix.from_function(
+        6, lambda i, j: m[(order[i - 1], order[j - 1])]
+    )
+    r = relabeled
+    x1 = min(r[(1, 3)] + r[(2, 4)], r[(1, 4)] + r[(2, 3)]) - r[(1, 2)]
+    x2 = min(r[(1, 5)] + r[(2, 6)], r[(1, 6)] + r[(2, 5)]) - r[(5, 6)]
+    x3 = min(r[(3, 5)] + r[(4, 6)], r[(3, 6)] + r[(4, 5)]) - r[(3, 4)]
+    block_a = DissimilarityMatrix.from_rows(
+        [
+            [None, r[(1, 2)], r[(1, 3)], r[(1, 4)]],
+            [r[(1, 2)], None, r[(2, 3)], r[(2, 4)]],
+            [r[(1, 3)], r[(2, 3)], None, x1],
+            [r[(1, 4)], r[(2, 4)], x1, None],
+        ]
+    )
+    block_b = DissimilarityMatrix.from_rows(
+        [
+            [None, x2, r[(1, 5)], r[(1, 6)]],
+            [x2, None, r[(2, 5)], r[(2, 6)]],
+            [r[(1, 5)], r[(2, 5)], None, r[(5, 6)]],
+            [r[(1, 6)], r[(2, 6)], r[(5, 6)], None],
+        ]
+    )
+    block_c = DissimilarityMatrix.from_rows(
+        [
+            [None, r[(3, 4)], r[(3, 5)], r[(3, 6)]],
+            [r[(3, 4)], None, r[(4, 5)], r[(4, 6)]],
+            [r[(3, 5)], r[(4, 5)], None, x3],
+            [r[(3, 6)], r[(4, 6)], x3, None],
+        ]
     )
     summands = []
-    for slots, closed, x in blocks:
-        block = {
-            (i, j): x if (i, j) == closed else r(slots[i - 1], slots[j - 1])
-            for i, j in itertools.combinations(range(1, 5), 2)
-        }
-        tree = _embed_scaled(_realize_scaled(4, block), slots, 6, padding)
+    for block, slots in (
+        (block_a, (1, 2, 3, 4)),
+        (block_b, (1, 2, 5, 6)),
+        (block_c, (3, 4, 5, 6)),
+    ):
+        tree = embed_tree_block(block, slots, 6, c)
         # Undo the relabeling: slot v carries original leaf order[v-1].
         tree = tree.relabelled_leaves({v: order[v - 1] for v in range(1, 7)}, 6)
-        summands.append(tree_summand(_with_denominator(tree, unit)))
+        summands.append(tree_summand(tree))
     return Decomposition(TREE, tuple(summands))
 
 

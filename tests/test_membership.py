@@ -194,10 +194,10 @@ class TestFourPointKernel:
                 late += expected is not None and expected != (1, 2, 3, 4)
         assert violations > 100 and trees > 50 and late > 30
 
-    def test_three_term_hits_match_the_generic_loop(self):
-        # `unique_minima` unrolls three-term relations; the deficiency
-        # builder reads every hit, so each hit and its index must be the
-        # generic loop's, on small values with many ties.
+    def test_three_term_hits_match_a_direct_scan(self):
+        # The deficiency builder reads every hit of `unique_minima`, so each
+        # hit and its index must be a direct scan's, on small values with
+        # many ties.
         rng = random.Random(4242)
         hits = {0: 0, 1: 0, 2: 0}
         for n in range(4, 9):

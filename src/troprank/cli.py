@@ -155,11 +155,16 @@ def cmd_verify(args) -> int:
     m = _load(args.matrix)
     with open(args.decomposition, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise MatrixFormatError("decomposition file must hold a JSON object")
     notion = data.get("notion")
     if notion not in NOTIONS:
         raise MatrixFormatError(f"decomposition file has unknown notion {notion!r}")
+    summands = data.get("summands", [])
+    if not isinstance(summands, list) or not all(isinstance(s, dict) for s in summands):
+        raise MatrixFormatError("decomposition 'summands' must be a list of objects")
     matrices = []
-    for s in data.get("summands", []):
+    for s in summands:
         rows = s.get("matrix")
         if rows is None:
             raise MatrixFormatError("summand without a matrix")

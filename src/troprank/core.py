@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 # The rank of a symmetric matrix that no rank-one sum reaches, and the
 # chromatic number of a deficiency graph with a loop.
@@ -64,6 +64,11 @@ def format_decimal_or_ratio(q: Fraction) -> str:
 Position = tuple[int, int]
 
 
+def sorted_pair(i: int, j: int) -> Position:
+    """The position {i, j} as the pair (min, max)."""
+    return (i, j) if i <= j else (j, i)
+
+
 def symmetric_positions(n: int) -> list[Position]:
     """All unordered pairs {i, j} with i <= j (diagonal included)."""
     return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
@@ -108,23 +113,74 @@ def unique_minima(relations, values) -> Iterator[tuple[tuple, int]]:
             yield relation, sums.index(low)
 
 
+def term_minimizers(terms: Sequence[tuple], values: dict[Position, int]) -> list[tuple]:
+    """The terms attaining the least sum of `values` over their positions."""
+    sums = [sum(values[p] for p in term) for term in terms]
+    low = min(sums)
+    return [term for term, total in zip(terms, sums) if total == low]
+
+
+def rank_one_doubled(n: int, values: dict[Position, int]) -> Optional[list[int]]:
+    """2v with m = v^T (+) v, or None when m is not rank one.
+
+    `values` maps positions to m's entries as integers (see
+    `scaled_to_integers`).  The generator is forced, 2 v_i = m_ii, so m is
+    rank one exactly when every 2 m_ij equals m_ii + m_jj.
+    """
+    return _if_generated([values[i, i] for i in range(1, n + 1)], values)
+
+
+def star_doubled(n: int, values: dict[Position, int]) -> Optional[list[int]]:
+    """2v with m the projection of v^T (+) v, or None off the star tree variety.
+
+    2 v_1 = m_12 + m_13 - m_23 and v_j = m_1j - v_1 are forced, so every
+    m_ij must equal v_i + v_j (always true for n = 3).
+    """
+    v1 = values[1, 2] + values[1, 3] - values[2, 3]
+    return _if_generated([v1] + [2 * values[1, j] - v1 for j in range(2, n + 1)], values)
+
+
+def _if_generated(doubled: list[int], values: dict[Position, int]) -> Optional[list[int]]:
+    """`doubled` when 2 m_ij = doubled_i + doubled_j for all i < j, else None."""
+    for i, j in itertools.combinations(range(1, len(doubled) + 1), 2):
+        if 2 * values[i, j] != doubled[i - 1] + doubled[j - 1]:
+            return None
+    return doubled
+
+
 class _PairIndexed:
-    """Shared storage/indexing for the two matrix spaces."""
+    """Storage and indexing shared by the two matrix spaces.
+
+    Each space sets `kind`, `min_n` (its smallest n) and `offset`: row i
+    stores columns i + offset .. n, so 0 keeps the diagonal and 1 has none.
+    Each keeps its own `_index` formula for i <= j, the hot path of `m[(i, j)]`.
+    """
 
     __slots__ = ()
 
     n: int
     values: tuple[Fraction, ...]
+    kind: str
+    min_n: int
+    offset: int
 
-    def _index(self, i: int, j: int) -> int:
-        raise NotImplementedError
+    def __post_init__(self):
+        if self.n < self.min_n:
+            raise ValueError(f"{self.kind} matrix needs n >= {self.min_n}")
+        expected = self.n * (self.n + 1 - 2 * self.offset) // 2
+        if len(self.values) != expected:
+            raise ValueError(f"expected {expected} entries, got {len(self.values)}")
 
     def __getitem__(self, ij: Position) -> Fraction:
         i, j = ij
-        return self.values[self._index(i, j)]
+        n = self.n
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise IndexError(f"index pair ({i},{j}) out of range for n={n}")
+        return self.values[self._index(i, j) if i <= j else self._index(j, i)]
 
     def positions(self) -> list[Position]:
-        raise NotImplementedError
+        n = self.n
+        return [(i, j) for i in range(1, n + 1) for j in range(i + self.offset, n + 1)]
 
     def items(self) -> Iterator[tuple[Position, Fraction]]:
         for pos in self.positions():
@@ -145,10 +201,39 @@ class _PairIndexed:
             for p, v in zip(self.positions(), self.values)
         }
 
+    @classmethod
+    def from_function(cls, n: int, entry: Callable[[int, int], object]):
+        vals = tuple(
+            frac(entry(i, j)) for i in range(1, n + 1) for j in range(i + cls.offset, n + 1)
+        )
+        return cls(n, vals)
 
-def _check_bounds(n: int, i: int, j: int) -> None:
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError(f"index pair ({i},{j}) out of range for n={n}")
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[object]]):
+        """Rows of a square matrix; a space without a diagonal ignores its
+        diagonal cells (they may be None or '*')."""
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise ValueError("rows must form a square matrix")
+        grid = [
+            [None if cls.offset and (x is None or x == "*") else frac(x) for x in row]
+            for row in rows
+        ]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if grid[i][j] is None or grid[j][i] is None:
+                    raise ValueError(f"missing off-diagonal entry at ({i + 1},{j + 1})")
+                if grid[i][j] != grid[j][i]:
+                    raise ValueError(f"not symmetric at ({i + 1},{j + 1})")
+        return cls.from_function(n, lambda i, j: grid[i - 1][j - 1])
+
+    def to_rows(self) -> list[list[Optional[Fraction]]]:
+        """The full square; None on the diagonal of a space without one."""
+        n = self.n
+        return [
+            [None if i == j and self.offset else self[(i, j)] for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ]
 
 
 @dataclass(frozen=True)
@@ -159,42 +244,11 @@ class SymmetricMatrix(_PairIndexed):
     values: tuple[Fraction, ...]
 
     kind = "symmetric"
+    min_n = 1
+    offset = 0
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("symmetric matrix needs n >= 1")
-        expected = self.n * (self.n + 1) // 2
-        if len(self.values) != expected:
-            raise ValueError(f"expected {expected} entries, got {len(self.values)}")
-
-    def _index(self, i: int, j: int) -> int:
-        _check_bounds(self.n, i, j)
-        if i > j:
-            i, j = j, i
+    def _index(self, i: int, j: int) -> int:  # i <= j
         return (i - 1) * (2 * self.n - i + 2) // 2 + (j - i)
-
-    def positions(self) -> list[Position]:
-        return symmetric_positions(self.n)
-
-    @classmethod
-    def from_function(cls, n: int, entry: Callable[[int, int], object]) -> "SymmetricMatrix":
-        vals = tuple(frac(entry(i, j)) for i in range(1, n + 1) for j in range(i, n + 1))
-        return cls(n, vals)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[object]]) -> "SymmetricMatrix":
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("rows must form a square matrix")
-        grid = [[frac(x) for x in row] for row in rows]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if grid[i][j] != grid[j][i]:
-                    raise ValueError(f"not symmetric at ({i + 1},{j + 1})")
-        return cls.from_function(n, lambda i, j: grid[i - 1][j - 1])
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [[self[(i, j)] for j in range(1, self.n + 1)] for i in range(1, self.n + 1)]
 
 
 @dataclass(frozen=True)
@@ -205,50 +259,13 @@ class DissimilarityMatrix(_PairIndexed):
     values: tuple[Fraction, ...]
 
     kind = "dissimilarity"
+    min_n = 3
+    offset = 1
 
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("dissimilarity matrix needs n >= 3")
-        expected = self.n * (self.n - 1) // 2
-        if len(self.values) != expected:
-            raise ValueError(f"expected {expected} entries, got {len(self.values)}")
-
-    def _index(self, i: int, j: int) -> int:
-        _check_bounds(self.n, i, j)
-        if i > j:
-            i, j = j, i
+    def _index(self, i: int, j: int) -> int:  # i <= j
         if i == j:
             raise IndexError("dissimilarity matrices have no diagonal entries")
         return (i - 1) * (2 * self.n - i) // 2 + (j - i - 1)
-
-    def positions(self) -> list[Position]:
-        return offdiag_positions(self.n)
-
-    @classmethod
-    def from_function(cls, n: int, entry: Callable[[int, int], object]) -> "DissimilarityMatrix":
-        vals = tuple(frac(entry(i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-        return cls(n, vals)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[object]]) -> "DissimilarityMatrix":
-        """Rows with arbitrary diagonal cells (ignored; may be None or '*')."""
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("rows must form a square matrix")
-        grid = [[None if (x is None or x == "*") else frac(x) for x in row] for row in rows]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if grid[i][j] is None or grid[j][i] is None:
-                    raise ValueError(f"missing off-diagonal entry at ({i + 1},{j + 1})")
-                if grid[i][j] != grid[j][i]:
-                    raise ValueError(f"not symmetric at ({i + 1},{j + 1})")
-        return cls.from_function(n, lambda i, j: grid[i - 1][j - 1])
-
-    def to_rows(self) -> list[list[Union[Fraction, None]]]:
-        return [
-            [None if i == j else self[(i, j)] for j in range(1, self.n + 1)]
-            for i in range(1, self.n + 1)
-        ]
 
 
 Matrix = Union[SymmetricMatrix, DissimilarityMatrix]
@@ -278,14 +295,17 @@ def as_vector(values: Iterable[object]) -> tuple[Fraction, ...]:
 
 def rank_one_symmetric(v: Sequence[object]) -> SymmetricMatrix:
     """The symmetric matrix with entry {i,j} equal to v_i + v_j."""
-    w = as_vector(v)
-    return SymmetricMatrix.from_function(len(w), lambda i, j: w[i - 1] + w[j - 1])
+    return _generated(SymmetricMatrix, v)
 
 
 def star_matrix(v: Sequence[object]) -> DissimilarityMatrix:
     """Off-diagonal part of the rank-one matrix of v: a star tree matrix."""
+    return _generated(DissimilarityMatrix, v)
+
+
+def _generated(space, v: Sequence[object]) -> Matrix:
     w = as_vector(v)
-    return DissimilarityMatrix.from_function(len(w), lambda i, j: w[i - 1] + w[j - 1])
+    return space.from_function(len(w), lambda i, j: w[i - 1] + w[j - 1])
 
 
 def project(m: SymmetricMatrix) -> DissimilarityMatrix:
@@ -300,25 +320,22 @@ def project(m: SymmetricMatrix) -> DissimilarityMatrix:
 def rank_one_generator(m: SymmetricMatrix) -> tuple[Fraction, ...]:
     """Recover v with m = v^T (+) v, or raise ValueError.
 
-    The generator is forced: v_i = m_ii / 2.
+    The generator is forced: v_i = m_ii / 2 (see `rank_one_doubled`).
     """
-    v = tuple(m[(i, i)] / 2 for i in range(1, m.n + 1))
-    for i in range(1, m.n + 1):
-        for j in range(i + 1, m.n + 1):
-            if m[(i, j)] != v[i - 1] + v[j - 1]:
-                raise ValueError("matrix is not rank one")
-    return v
+    return _generator(m, rank_one_doubled, "matrix is not rank one")
 
 
 def star_generator(m: DissimilarityMatrix) -> tuple[Fraction, ...]:
     """Recover v with m = projection of v^T (+) v, or raise ValueError."""
-    v1 = (m[(1, 2)] + m[(1, 3)] - m[(2, 3)]) / 2
-    v = [v1] + [m[(1, j)] - v1 for j in range(2, m.n + 1)]
-    for i in range(2, m.n + 1):
-        for j in range(i + 1, m.n + 1):
-            if m[(i, j)] != v[i - 1] + v[j - 1]:
-                raise ValueError("matrix is not a star tree matrix")
-    return tuple(v)
+    return _generator(m, star_doubled, "matrix is not a star tree matrix")
+
+
+def _generator(m: Matrix, kernel, error: str) -> tuple[Fraction, ...]:
+    scale, values = m.scaled_to_integers()
+    doubled = kernel(m.n, values)
+    if doubled is None:
+        raise ValueError(error)
+    return tuple(Fraction(d, 2 * scale) for d in doubled)
 
 
 def _pad_value(v: Sequence[Fraction], c: Fraction) -> Fraction:
@@ -344,22 +361,19 @@ def extend_rank_one(m: SymmetricMatrix, n: int, c) -> SymmetricMatrix:
 
     The generator gains n - m trailing copies of max(c/2, c - min_i v_i).
     """
-    if n <= m.n:
-        raise ValueError("target dimension must exceed the current one")
-    v = rank_one_generator(m)
-    c = frac(c)
-    w = v + (_pad_value(v, c),) * (n - m.n)
-    return rank_one_symmetric(w)
+    return _extended(m, n, c, rank_one_generator)
 
 
 def extend_star_tree(m: DissimilarityMatrix, n: int, c) -> DissimilarityMatrix:
     """Star-tree analogue of extend_rank_one, acting through the projection."""
+    return _extended(m, n, c, star_generator)
+
+
+def _extended(m: Matrix, n: int, c, generator) -> Matrix:
     if n <= m.n:
         raise ValueError("target dimension must exceed the current one")
-    v = star_generator(m)
-    c = frac(c)
-    w = v + (_pad_value(v, c),) * (n - m.n)
-    return star_matrix(w)
+    v = generator(m)
+    return _generated(type(m), v + (_pad_value(v, frac(c)),) * (n - m.n))
 
 
 def apply_permutation(m: Matrix, perm: Sequence[int]) -> Matrix:
@@ -370,6 +384,11 @@ def apply_permutation(m: Matrix, perm: Sequence[int]) -> Matrix:
     for i, image in enumerate(perm, start=1):
         inverse[image - 1] = i
     return type(m).from_function(m.n, lambda i, j: m[(inverse[i - 1], inverse[j - 1])])
+
+
+def relabel_positions(positions: Iterable[Position], perm: Sequence[int]) -> frozenset[Position]:
+    """The positions moved as `apply_permutation` moves entries: {i,j} to {perm i, perm j}."""
+    return frozenset(sorted_pair(perm[i - 1], perm[j - 1]) for i, j in positions)
 
 
 def principal_submatrix(m: Matrix, indices: Sequence[int]) -> Matrix:

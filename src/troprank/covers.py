@@ -38,6 +38,7 @@ from .decomposition import (
     star_summand,
     tree_summand,
 )
+from .deficiency import _complement_components
 from .trees import WeightedTree, _add_edge
 
 CLIQUE = "clique"
@@ -298,17 +299,8 @@ def min_clique_star_cover(
     edges = sorted_edges(g)
     if not edges:
         return 0, [], False, None
-    candidates: list[tuple[CoverElement, frozenset]] = []
-    for c in maximal_cliques(g):
-        if len(c) >= 2:
-            candidates.append(
-                (
-                    CoverElement(CLIQUE, vertices=c),
-                    frozenset(frozenset(p) for p in itertools.combinations(c, 2)),
-                )
-            )
-    for s in _star_candidates(g):
-        candidates.append((s, s.edge_footprint()))
+    cliques = [CoverElement(CLIQUE, vertices=c) for c in maximal_cliques(g) if len(c) >= 2]
+    candidates = [(el, el.edge_footprint()) for el in cliques + _star_candidates(g)]
     size, cover = _exact_min_cover(edges, candidates)
     solid_cover = _find_solid_cover(g, candidates, edges, size)
     return size, cover, solid_cover is not None, solid_cover
@@ -422,12 +414,12 @@ def _multipartite_candidates(g: ZeroOneGraph) -> list[tuple[CoverElement, frozen
     of the complement restricted to S (non-edges must stay inside parts);
     it covers the most edges, so other partitions of S are dominated.
     """
-    comp = g.complement()
+    adjacency = {v: g.neighbors(v) for v in g.vertices()}
     best: dict[frozenset, tuple[CoverElement, frozenset]] = {}
     verts = list(g.vertices())
     for size in range(2, g.n + 1):
         for subset in itertools.combinations(verts, size):
-            parts = _complement_parts(comp, subset)
+            parts = tuple(sorted(map(tuple, _complement_components(list(subset), adjacency))))
             if len(parts) < 2:
                 continue
             el = CoverElement(MULTIPARTITE, parts=parts)
@@ -443,25 +435,6 @@ def _multipartite_candidates(g: ZeroOneGraph) -> list[tuple[CoverElement, frozen
         if not any(fp < fp2 for _, fp2 in items):
             keep.append((el, fp))
     return keep
-
-
-def _complement_parts(comp: ZeroOneGraph, subset: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    inside = set(subset)
-    remaining = set(subset)
-    parts = []
-    while remaining:
-        seed = next(iter(remaining))
-        blob = {seed}
-        frontier = [seed]
-        while frontier:
-            u = frontier.pop()
-            for v in list(remaining - blob):
-                if comp.has_edge(u, v):
-                    blob.add(v)
-                    frontier.append(v)
-        parts.append(tuple(sorted(blob)))
-        remaining -= blob
-    return tuple(sorted(parts))
 
 
 def min_multipartite_cover(g: ZeroOneGraph) -> tuple[int, list[CoverElement]]:

@@ -21,11 +21,12 @@ from .core import (
     Position,
     SymmetricMatrix,
     as_vector,
+    rank_one_doubled,
     rank_one_symmetric,
+    star_doubled,
     star_matrix,
 )
-from .membership import four_point_holds, rank_one_holds, star_tree_holds
-from .trees import WeightedTree
+from .trees import WeightedTree, _violation
 
 SYM = "sym"
 STAR = "star"
@@ -97,8 +98,11 @@ def tree_summand(tree: WeightedTree) -> Summand:
     return Summand(KIND_TREE, tree.leaf_distance_matrix(), tree)
 
 
-# Each notion's membership test on integer entries keyed by position.
-_HOLDS = {SYM: rank_one_holds, STAR: star_tree_holds, TREE: four_point_holds}
+def _member(notion: str, n: int, values: dict[Position, int]) -> bool:
+    """The notion's integer membership kernel on entries keyed by position."""
+    if notion == TREE:
+        return _violation(n, values) is None
+    return (rank_one_doubled if notion == SYM else star_doubled)(n, values) is not None
 
 
 def space_for(notion: str):
@@ -137,7 +141,7 @@ def verify_matrices(m: Matrix, matrices: Sequence[Matrix], notion: str) -> Verif
     """
     if not isinstance(m, space_for(notion)):
         return VerificationReport(False, "matrix lives in the wrong space")
-    if notion not in _HOLDS:
+    if notion not in NOTIONS:
         raise ValueError(f"unknown rank notion {notion!r}; expected one of {NOTIONS}")
     if not matrices:
         return VerificationReport(False, "empty decomposition")
@@ -151,9 +155,8 @@ def verify_matrices(m: Matrix, matrices: Sequence[Matrix], notion: str) -> Verif
         [v.numerator * (scale // v.denominator) for v in x.values]
         for x in (m, *matrices[:shaped])
     )
-    holds = _HOLDS[notion]
     for idx, values in enumerate(summands):
-        if not holds(m.n, dict(zip(positions, values))):
+        if not _member(notion, m.n, dict(zip(positions, values))):
             return VerificationReport(False, "summand fails its membership test", idx)
     if shaped < len(matrices):
         return VerificationReport(False, "summand has mismatched shape", shaped)

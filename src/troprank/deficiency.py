@@ -14,9 +14,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .core import INFINITE, DissimilarityMatrix, Matrix, Position, SymmetricMatrix, unique_minima
+from .core import (
+    INFINITE,
+    DissimilarityMatrix,
+    Matrix,
+    Position,
+    SymmetricMatrix,
+    relabel_positions,
+    unique_minima,
+)
 from .membership import (
     PLUECKER,
     STAR_TREE,
@@ -351,38 +360,17 @@ class PetersenClassification:
     relabeling: Optional[tuple[int, ...]] = None  # image of 1..5, when matched
 
 
-def _relabel_edge_set(edges: frozenset, perm: Sequence[int]) -> frozenset:
-    def move(p: Position) -> Position:
-        a, b = perm[p[0] - 1], perm[p[1] - 1]
-        return (a, b) if a < b else (b, a)
-
-    return frozenset(frozenset(move(v) for v in e) for e in edges)
-
-
 def _is_five_cycle(edges: frozenset) -> bool:
+    # Five edges, each of five vertices of degree two: a simple 2-regular
+    # graph is a union of cycles of length >= 3, and on five vertices that
+    # leaves one 5-cycle, so no connectivity walk is needed.
     if len(edges) != 5:
         return False
     degree: dict[Position, int] = {}
     for e in edges:
         for v in e:
             degree[v] = degree.get(v, 0) + 1
-    if sorted(degree.values()) != [2, 2, 2, 2, 2]:
-        return False
-    support = sorted(degree)
-    seen = {support[0]}
-    frontier = [support[0]]
-    adj = {v: set() for v in support}
-    for e in edges:
-        u, v = sorted(e)
-        adj[u].add(v)
-        adj[v].add(u)
-    while frontier:
-        u = frontier.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return len(seen) == 5
+    return sorted(degree.values()) == [2, 2, 2, 2, 2]
 
 
 def classify_petersen(m: DissimilarityMatrix) -> PetersenClassification:
@@ -403,25 +391,21 @@ def classify_petersen(m: DissimilarityMatrix) -> PetersenClassification:
     if _is_five_cycle(edges):
         return PetersenClassification(FIVE_CYCLE, edges)
     for perm in itertools.permutations(range(1, 6)):
-        if _relabel_edge_set(edges, perm) == CANONICAL_HUB_PAIR:
+        relabelled = frozenset(relabel_positions(e, perm) for e in edges)
+        if relabelled == CANONICAL_HUB_PAIR:
             return PetersenClassification(HUB_PAIR, edges, perm)
-        if _relabel_edge_set(edges, perm) == CANONICAL_HUB_SINGLE:
+        if relabelled == CANONICAL_HUB_SINGLE:
             return PetersenClassification(HUB_SINGLE, edges, perm)
     raise RuntimeError("five-edge deficiency graph outside the known taxonomy")
 
 
-def _petersen_adjacency() -> dict[Position, set[Position]]:
-    adj: dict[Position, set[Position]] = {v: set() for v in PETERSEN_VERTICES}
-    for e in PETERSEN_EDGES:
-        u, v = sorted(e)
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
-def _even_cycles() -> list[tuple[Position, ...]]:
+@lru_cache(maxsize=None)
+def petersen_even_cycles() -> list[tuple[Position, ...]]:
     """All 6- and 8-cycles of the Petersen graph, as vertex sequences."""
-    adj = _petersen_adjacency()
+    adj = {
+        u: {v for v in PETERSEN_VERTICES if frozenset({u, v}) in PETERSEN_EDGES}
+        for u in PETERSEN_VERTICES
+    }
     cycles: set[tuple[Position, ...]] = set()
     order = {v: i for i, v in enumerate(PETERSEN_VERTICES)}
 
@@ -444,16 +428,6 @@ def _even_cycles() -> list[tuple[Position, ...]]:
     for v in PETERSEN_VERTICES:
         extend([v])
     return sorted(cycles)
-
-
-_EVEN_CYCLES_CACHE: Optional[list[tuple[Position, ...]]] = None
-
-
-def petersen_even_cycles() -> list[tuple[Position, ...]]:
-    global _EVEN_CYCLES_CACHE
-    if _EVEN_CYCLES_CACHE is None:
-        _EVEN_CYCLES_CACHE = _even_cycles()
-    return _EVEN_CYCLES_CACHE
 
 
 def has_alternating_even_cycle(

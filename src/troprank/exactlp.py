@@ -15,6 +15,9 @@ row that P does not need changes nothing: of rows whose heads are positive
 multiples of each other, each eliminated system keeps only the one with
 the largest bound.
 
+`rational_rank` counts the pivots of the same fraction-free forward
+elimination (`_echelon`) that removes those equalities.
+
 Rows of ints enter the kernel as they are and rational rows are scaled to
 integers; every elimination step is a fraction-free integer combination,
 so the point is built from integer numerators over one common denominator
@@ -33,27 +36,8 @@ from typing import Optional, Sequence
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a matrix over the rationals by Gaussian elimination."""
-    work = [list(map(Fraction, row)) for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col] / pv
-                for c in range(col, ncols):
-                    work[r][c] -= factor * work[rank][c]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    """Rank of a matrix over the rationals: the pivots of `_echelon`."""
+    return len(_echelon(len(rows[0]) if rows else 0, [(row, 0) for row in rows]))
 
 
 def _integer_row(coeffs: Sequence, const) -> tuple[int, ...]:
@@ -73,20 +57,16 @@ def _primitive(row: Sequence[int]) -> tuple[int, ...]:
     return tuple(v // g for v in row) if g > 1 else tuple(row)
 
 
-def solve_linear_feasibility(
-    nvars: int,
-    equalities: Sequence[tuple[Sequence, object]],
-    inequalities: Sequence[tuple[Sequence, object]],
-) -> Optional[list[Fraction]]:
-    """A point satisfying sum(a*x) = c and sum(a*x) >= c systems, or None.
+def _echelon(
+    nvars: int, equalities: Sequence[tuple[Sequence, object]]
+) -> Optional[list[tuple[int, tuple[int, ...]]]]:
+    """Fraction-free forward elimination of sum(a*x) = c rows, or None when
+    they are inconsistent.
 
-    The point is the one the module docstring defines.  Equalities are
-    removed by Gaussian pivoting (first nonzero column of each reduced
-    equality) and back-substitution; the free system goes through
-    Fourier-Motzkin.
+    Returns pivots[k] = (var, row): row says sum(row[:-1] * x) = row[-1],
+    in integers, with row[var] > 0 and a zero in the column of every
+    earlier pivot; var is the first nonzero column of the reduced row.
     """
-    # pivots[k] = (var, row): row says sum(row[:-1] * x) = row[-1], with
-    # row[var] > 0 and a zero in the column of every earlier pivot.
     pivots: list[tuple[int, tuple[int, ...]]] = []
     for coeffs, const in equalities:
         row = _integer_row(coeffs, const)
@@ -105,7 +85,23 @@ def solve_linear_feasibility(
         if row[pivot] < 0:
             row = tuple(-v for v in row)
         pivots.append((pivot, row))
+    return pivots
 
+
+def solve_linear_feasibility(
+    nvars: int,
+    equalities: Sequence[tuple[Sequence, object]],
+    inequalities: Sequence[tuple[Sequence, object]],
+) -> Optional[list[Fraction]]:
+    """A point satisfying sum(a*x) = c and sum(a*x) >= c systems, or None.
+
+    The point is the one the module docstring defines.  Equalities are
+    removed by `_echelon` and back-substitution; the free system goes
+    through Fourier-Motzkin.
+    """
+    pivots = _echelon(nvars, equalities)
+    if pivots is None:
+        return None
     pivot_vars = {var for var, _ in pivots}
     free_vars = [k for k in range(nvars) if k not in pivot_vars]
     # Back-substitution, last pivot first: expressed[var] = (m, expr) says

@@ -38,8 +38,12 @@ class Rank7Candidate:
         }
 
 
-def rank7_search(trials: int, seed: int, n: int = 10, low: int = 0, high: int = 9):
-    """Random n x n integer matrices whose deficiency graph needs >= 7 colors.
+# rank7_search samples RANK7_N x RANK7_N matrices with entries RANK7_LOW..RANK7_HIGH.
+RANK7_N, RANK7_LOW, RANK7_HIGH = 10, 0, 9
+
+
+def rank7_search(trials: int, seed: int):
+    """Random integer matrices whose deficiency graph needs >= 7 colors.
 
     Returns (candidates, best_bound_seen).  The tree rank of a candidate
     would be at least its chromatic bound; none is asserted here.
@@ -48,7 +52,9 @@ def rank7_search(trials: int, seed: int, n: int = 10, low: int = 0, high: int = 
     best = 0
     candidates = []
     for trial in range(trials):
-        m = DissimilarityMatrix.from_function(n, lambda i, j: rng.randint(low, high))
+        m = DissimilarityMatrix.from_function(
+            RANK7_N, lambda i, j: rng.randint(RANK7_LOW, RANK7_HIGH)
+        )
         chi = chromatic_number(build_deficiency(m, PLUECKER))
         best = max(best, int(chi))
         if chi >= 7:

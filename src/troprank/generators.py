@@ -12,7 +12,6 @@ from importlib import resources
 from typing import Optional, Union
 
 from .core import DissimilarityMatrix, SymmetricMatrix
-from .rank import block_matrix
 
 # A paired 4x4 example whose symmetric, star tree and tree ranks are 4, 2
 # and 1: zeroes split {1,2} from {3,4} and the two ones sit inside the
@@ -93,13 +92,31 @@ def tr6_matrix() -> DissimilarityMatrix:
     return DissimilarityMatrix.from_rows(TR6_ROWS)
 
 
+BLOCK_FILLER = 10
+
+
+def block_matrix(m: DissimilarityMatrix, copies: int) -> DissimilarityMatrix:
+    """copies x copies block-diagonal layout of m, BLOCK_FILLER elsewhere."""
+    if copies < 1:
+        raise ValueError("need at least one copy")
+    n = m.n
+
+    def entry(i: int, j: int):
+        bi, bj = (i - 1) // n, (j - 1) // n
+        if bi != bj:
+            return BLOCK_FILLER
+        return m[((i - 1) % n + 1, (j - 1) % n + 1)]
+
+    return DissimilarityMatrix.from_function(n * copies, entry)
+
+
 def tr6_blocks(copies: int) -> DissimilarityMatrix:
     """Block-diagonal copies of the 9x9 example, 10 in the off blocks.
 
     The deficiency graph contains the block copies joined completely, so
     the chromatic bound (and hence the tree rank) is at least 6 * copies.
     """
-    return block_matrix(tr6_matrix(), copies, 10)
+    return block_matrix(tr6_matrix(), copies)
 
 
 def sym_remark_matrix() -> SymmetricMatrix:

@@ -15,16 +15,19 @@ position twice for a square such as x12^2).  The degree-5 terms of the
 5x5 closed forms are sorted position tuples too (`small_cases.PENTAGONS`,
 `small_cases.TRIANGLES`); `term_label` names any of them.
 
-The three-term relations are a tropical basis of the tree space trop
-Gr(2,n) (Speyer-Sturmfels), so `is_tree_matrix` is the hypersurface test
-on the Pluecker table: the deficiency builder's integer kernel
-`core.unique_minima`, stopped at the first relation with a unique minimum.
+Each variety has one integer membership kernel, which the tests below,
+`decomposition.verify_matrices` and the generator recovery all read:
+`core.rank_one_doubled` and `core.star_doubled` return the doubled
+generator or None.  The three-term relations are a tropical basis of the
+tree space trop Gr(2,n) (Speyer-Sturmfels), so the tree kernel
+(`trees.four_point_violation`) is the hypersurface test on the Pluecker
+table: the deficiency builder's `core.unique_minima`, stopped at the first
+relation with a unique minimum.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -34,7 +37,10 @@ from .core import (
     Position,
     SymmetricMatrix,
     quartets,
-    unique_minima,
+    rank_one_doubled,
+    sorted_pair,
+    star_doubled,
+    term_minimizers,
 )
 from .trees import four_point_violation, realize_tree  # noqa: F401  (re-exported)
 
@@ -57,10 +63,6 @@ def term_label(positions: Sequence[Position]) -> str:
     return "*".join(parts)
 
 
-def _sym_pos(i: int, j: int) -> Position:
-    return (i, j) if i <= j else (j, i)
-
-
 def _symmetric_minors(n: int) -> tuple[Relation, ...]:
     # Distinct 2x2 minors x_ij*x_kl (+) x_il*x_kj, i < k, j < l.  The two
     # terms never share a position.  On symmetric matrices different
@@ -70,8 +72,8 @@ def _symmetric_minors(n: int) -> tuple[Relation, ...]:
     out = []
     for i, k in itertools.combinations(range(1, n + 1), 2):
         for j, l in itertools.combinations(range(1, n + 1), 2):
-            t1 = tuple(sorted((_sym_pos(i, j), _sym_pos(k, l))))
-            t2 = tuple(sorted((_sym_pos(i, l), _sym_pos(k, j))))
+            t1 = tuple(sorted((sorted_pair(i, j), sorted_pair(k, l))))
+            t2 = tuple(sorted((sorted_pair(i, l), sorted_pair(k, j))))
             relation = (t1, t2) if t1 < t2 else (t2, t1)
             if relation not in seen:
                 seen.add(relation)
@@ -96,49 +98,20 @@ def basis_for(name: str, n: int) -> tuple[Relation, ...]:
     raise ValueError(f"unknown tropical basis {name!r}; expected one of {BASES}")
 
 
-# The membership tests proper take integer entries keyed by position (see
-# `scaled_to_integers`); `verify` runs them on entries it scaled itself.
-
-
-def rank_one_holds(n: int, values: dict[Position, int]) -> bool:
-    """m = v^T (+) v: v_i = m_ii / 2 is forced, so 2 m_ij = m_ii + m_jj."""
-    return all(
-        2 * values[i, j] == values[i, i] + values[j, j]
-        for i, j in itertools.combinations(range(1, n + 1), 2)
-    )
-
-
-def star_tree_holds(n: int, values: dict[Position, int]) -> bool:
-    """m is the projection of v^T (+) v: 2 v_1 = m_12 + m_13 - m_23 and
-    v_j = m_1j - v_1 are forced, so every m_ij with 2 <= i < j must equal
-    v_i + v_j (always true for n = 3)."""
-    v1 = values[1, 2] + values[1, 3] - values[2, 3]  # 2 v_1
-    doubled = [0, v1] + [2 * values[1, j] - v1 for j in range(2, n + 1)]  # 2 v_j
-    return all(
-        2 * values[i, j] == doubled[i] + doubled[j]
-        for i, j in itertools.combinations(range(2, n + 1), 2)
-    )
-
-
-def four_point_holds(n: int, values: dict[Position, int]) -> bool:
-    """No Pluecker relation has a unique minimum."""
-    return next(unique_minima(quartets(n), values), None) is None
-
-
 def is_rank1_symmetric(m: SymmetricMatrix) -> bool:
     """True when every 2x2 minor vanishes; equivalently m = v^T (+) v."""
-    return rank_one_holds(m.n, m.scaled_to_integers()[1])
+    return rank_one_doubled(m.n, m.scaled_to_integers()[1]) is not None
 
 
 def is_star_tree(m: DissimilarityMatrix) -> bool:
     """True when all three pairings agree on every quadruple (n=3: always)."""
-    return star_tree_holds(m.n, m.scaled_to_integers()[1])
+    return star_doubled(m.n, m.scaled_to_integers()[1]) is not None
 
 
 def is_tree_matrix(m: DissimilarityMatrix) -> bool:
     """Four-point condition: minimum pairing attained twice per quadruple,
     i.e. no Pluecker relation has a unique minimum (decided in integers)."""
-    return four_point_holds(m.n, m.scaled_to_integers()[1])
+    return four_point_violation(m) is None
 
 
 def is_tropically_singular_3x3(m: SymmetricMatrix) -> bool:
@@ -146,11 +119,10 @@ def is_tropically_singular_3x3(m: SymmetricMatrix) -> bool:
     if m.n != 3:
         raise ValueError("tropical singularity test implemented for n = 3")
     terms = [
-        sum((m[_sym_pos(i + 1, sigma[i] + 1)] for i in range(3)), Fraction(0))
+        [sorted_pair(i + 1, s + 1) for i, s in enumerate(sigma)]
         for sigma in itertools.permutations(range(3))
     ]
-    lo = min(terms)
-    return terms.count(lo) >= 2
+    return len(term_minimizers(terms, m.scaled_to_integers()[1])) >= 2
 
 
 PERFECT_MATCHINGS_6 = tuple(
@@ -179,10 +151,7 @@ def pfaffian_minimizers(m: DissimilarityMatrix) -> list[tuple[Position, ...]]:
     """Perfect matchings on six points attaining the minimal weight sum."""
     if m.n != 6:
         raise ValueError("the matching polynomial is a 6x6 construction")
-    _, values = m.scaled_to_integers()
-    weights = {matching: sum(values[p] for p in matching) for matching in PERFECT_MATCHINGS_6}
-    lo = min(weights.values())
-    return [matching for matching in PERFECT_MATCHINGS_6 if weights[matching] == lo]
+    return term_minimizers(PERFECT_MATCHINGS_6, m.scaled_to_integers()[1])
 
 
 __all__ = [

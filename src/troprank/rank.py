@@ -48,7 +48,6 @@ from .core import (
     Matrix,
     Position,
     SymmetricMatrix,
-    frac,
     quartets,
 )
 from .decomposition import (  # noqa: F401  (the errors are re-exported)
@@ -640,19 +639,3 @@ def _decomposition_from_witnesses(
         else:
             summands.append(tree_summand(payload))
     return Decomposition(notion, tuple(summands))
-
-
-def block_matrix(m: DissimilarityMatrix, copies: int, filler=10) -> DissimilarityMatrix:
-    """copies x copies block-diagonal layout of m, `filler` elsewhere."""
-    if copies < 1:
-        raise ValueError("need at least one copy")
-    n = m.n
-    filler = frac(filler)
-
-    def entry(i: int, j: int):
-        bi, bj = (i - 1) // n, (j - 1) // n
-        if bi != bj:
-            return filler
-        return m[((i - 1) % n + 1, (j - 1) % n + 1)]
-
-    return DissimilarityMatrix.from_function(n * copies, entry)

@@ -32,7 +32,10 @@ from .core import (
     apply_permutation,
     pad_generator,
     principal_submatrix,
+    relabel_positions,
+    sorted_pair,
     star_generator,
+    term_minimizers,
 )
 from .decomposition import (
     CertificateError,
@@ -60,15 +63,11 @@ from .upper import (
 Term = tuple[Position, ...]  # a product of entries, as its sorted positions
 
 
-def _edge(i: int, j: int) -> Position:
-    return (i, j) if i < j else (j, i)
-
-
 def _pentagons() -> tuple[Term, ...]:
     out = []
     for perm in itertools.permutations((2, 3, 4, 5)):
         cycle = (1,) + perm
-        term = tuple(sorted(_edge(cycle[k], cycle[(k + 1) % 5]) for k in range(5)))
+        term = tuple(sorted(sorted_pair(cycle[k], cycle[(k + 1) % 5]) for k in range(5)))
         if term not in out:
             out.append(term)
     return tuple(out)
@@ -91,21 +90,14 @@ def _triangles() -> tuple[Term, ...]:
 TRIANGLES: tuple[Term, ...] = _triangles()
 
 
-def _minimizers(terms: Sequence[Term], values: dict[Position, int]) -> list[Term]:
-    """The terms attaining the least sum of `values` over their positions."""
-    sums = [sum(values[p] for p in term) for term in terms]
-    low = min(sums)
-    return [term for term, total in zip(terms, sums) if total == low]
-
-
 def _triangle_minimizers(values: dict[Position, int]) -> list[Term]:
     """Triangle terms attaining the minimum of the 22-term polynomial."""
-    return [t for t in _minimizers(PENTAGONS + TRIANGLES, values) if t in TRIANGLES]
+    return [t for t in term_minimizers(PENTAGONS + TRIANGLES, values) if t in TRIANGLES]
 
 
 def _relabeled(values: dict[Position, int], perm: Sequence[int]) -> dict[Position, int]:
     """`apply_permutation` on an integer table: {i, j} moves to {perm i, perm j}."""
-    return {_edge(perm[i - 1], perm[j - 1]): v for (i, j), v in values.items()}
+    return {sorted_pair(perm[i - 1], perm[j - 1]): v for (i, j), v in values.items()}
 
 
 # --- 3x3 symmetric ----------------------------------------------------------
@@ -184,13 +176,9 @@ def differ_by_transposition(t1: frozenset, t2: frozenset) -> bool:
     for a, b in itertools.combinations(range(1, 6), 2):
         perm = list(range(1, 6))
         perm[a - 1], perm[b - 1] = b, a
-        if _relabel_edges(t1, perm) == t2:
+        if relabel_positions(t1, perm) == t2:
             return True
     return False
-
-
-def _relabel_edges(edges: frozenset, perm: Sequence[int]) -> frozenset:
-    return frozenset(_edge(perm[i - 1], perm[j - 1]) for i, j in edges)
 
 
 def star5_rank2_test(m: DissimilarityMatrix) -> tuple[bool, Optional[Star5Witness]]:
@@ -207,13 +195,13 @@ def star5_rank2_test(m: DissimilarityMatrix) -> tuple[bool, Optional[Star5Witnes
     if is_star_tree(m):
         return True, Star5Witness(trivial=True)
     _, values = m.scaled_to_integers()
-    minimizers = [frozenset(t) for t in _minimizers(PENTAGONS, values)]
+    minimizers = [frozenset(t) for t in term_minimizers(PENTAGONS, values)]
     canon = {CANONICAL_PENTAGON, CANONICAL_SWAPPED}
     for t1, t2 in itertools.combinations(minimizers, 2):
         if not differ_by_transposition(t1, t2):
             continue
         for perm in itertools.permutations(range(1, 6)):
-            if {_relabel_edges(t1, perm), _relabel_edges(t2, perm)} != canon:
+            if {relabel_positions(t1, perm), relabel_positions(t2, perm)} != canon:
                 continue
             mm = _relabeled(values, perm)
             lhs = mm[(1, 4)] + mm[(2, 3)]

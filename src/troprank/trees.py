@@ -92,7 +92,7 @@ class WeightedTree:
         if not verts:
             raise ValueError("empty tree")
         edge_count = sum(len(nb) for nb in self.adjacency.values()) // 2
-        if edge_count != len(verts) - 1 or not self._connected():
+        if edge_count != len(verts) - 1 or len(self.distances_from(verts[0])) != len(verts):
             raise ValueError("not a connected acyclic graph")
         for leaf in self.leaves():
             if leaf not in self.adjacency or self.degree(leaf) != 1:
@@ -100,18 +100,6 @@ class WeightedTree:
         for u, v, w in self.edges():
             if not self.is_leaf(u) and not self.is_leaf(v) and w > 0:
                 raise ValueError(f"internal edge ({u},{v}) has positive weight {w}")
-
-    def _connected(self) -> bool:
-        verts = self.vertices()
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            u = stack.pop()
-            for v in self.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == len(verts)
 
     def distances_from(self, source: int) -> dict[int, Fraction]:
         """Path lengths from `source`, in the weights' own number type."""

@@ -337,7 +337,9 @@ class TestInternalFaults:
         import troprank.covers as covers_module
 
         g = ZeroOneGraph.from_edges(4, [(1, 3), (2, 4)])
-        monkeypatch.setattr(covers_module, "_complement_parts", lambda comp, subset: ((1,), (2,)))
+        monkeypatch.setattr(
+            covers_module, "_complement_components", lambda vertices, adjacency: [[1], [2]]
+        )
         with pytest.raises(CertificateError, match="footprint escaped"):
             min_multipartite_cover(g)
 

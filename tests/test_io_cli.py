@@ -169,6 +169,25 @@ class TestCli:
         assert out.returncode == 1
         assert json.loads(out.stdout)["ok"] is False
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [{"notion": "star"}],
+            {"notion": "star", "summands": [5]},
+            {"notion": "star", "summands": {"matrix": [[None]]}},
+        ],
+        ids=["top-level-array", "summand-not-object", "summands-object"],
+    )
+    def test_verify_malformed_file_is_a_format_error(self, tmp_path, payload):
+        mpath = tmp_path / "m.diss"
+        mpath.write_text(run_cli("generate", "min", "5").stdout)
+        dpath = tmp_path / "dec.json"
+        dpath.write_text(json.dumps(payload))
+        out = run_cli("verify", "--matrix", str(mpath), "--decomposition", str(dpath))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ")
+        assert "Traceback" not in out.stderr
+
     def test_deficiency_json_and_dot(self, tmp_path):
         path = tmp_path / "c5.diss"
         path.write_text(run_cli("generate", "cycle", "5").stdout)

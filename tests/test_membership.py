@@ -385,3 +385,78 @@ class TestDegenerateRealizations:
         assert not is_tree_matrix(m)
         with pytest.raises(NotTreeMatrixError):
             realize_tree(m)
+
+
+def random_binary_tree_matrix(rng: random.Random, n: int, scale: int) -> DissimilarityMatrix:
+    """Leaf distances of a random binary tree on leaves 1..n: each leaf
+    splits a random edge; pendant weights are any rationals over `scale`,
+    internal weights nonpositive ones."""
+    from troprank.trees import WeightedTree, _add_edge
+
+    def weight(internal: bool) -> Fraction:
+        w = Fraction(rng.randint(0 if internal else -6, 6), scale)
+        return -w if internal else w
+
+    adj: dict = {}
+    for leaf in (1, 2, 3):
+        _add_edge(adj, leaf, n + 1, weight(False))
+    for leaf in range(4, n + 1):
+        u = rng.choice(sorted(adj))
+        v = rng.choice(sorted(adj[u]))
+        split = n + leaf - 2
+        del adj[u][v], adj[v][u]
+        _add_edge(adj, u, split, weight(u > n))
+        _add_edge(adj, split, v, weight(v > n))
+        _add_edge(adj, leaf, split, weight(False))
+    return WeightedTree(n, adj).leaf_distance_matrix()
+
+
+class TestBasesDecideMembership:
+    """No relation of `basis_for(b, n)` has a unique minimum exactly when
+    the variety's integer kernel accepts; both outcomes occur for every
+    basis, on integer and rational entries with ties."""
+
+    def test_bases_agree_with_the_kernels(self):
+        from troprank.core import rank_one_doubled, star_doubled, star_matrix
+        from troprank.trees import _violation
+
+        rng = random.Random(2009)
+        outcomes = {b: set() for b in (SYMMETRIC_MINORS, STAR_TREE, PLUECKER)}
+        for n in range(3, 9):
+            for trial in range(24):
+                den = rng.choice((1, 2, 3)) if trial % 2 else 1
+
+                def entry(i, j):
+                    return Fraction(rng.randint(-3, 3), den)
+
+                v = [entry(0, 0) for _ in range(n)]
+                symmetric = [
+                    SymmetricMatrix.from_function(n, entry),
+                    rank_one_symmetric(v),
+                ]
+                dissimilarity = [
+                    DissimilarityMatrix.from_function(n, entry),
+                    star_matrix(v),
+                    random_binary_tree_matrix(rng, n, den),
+                ]
+                cases = [(SYMMETRIC_MINORS, m) for m in symmetric]
+                cases += [(b, m) for b in (STAR_TREE, PLUECKER) for m in dissimilarity]
+                for basis, m in cases:
+                    scale, values = m.scaled_to_integers()
+                    no_unique = next(unique_minima(basis_for(basis, n), values), None) is None
+                    if basis == PLUECKER:
+                        accepted = _violation(n, values) is None
+                        if accepted:
+                            assert realize_tree(m).leaf_distance_matrix() == m
+                    else:
+                        kernel = rank_one_doubled if basis == SYMMETRIC_MINORS else star_doubled
+                        doubled = kernel(n, values)
+                        accepted = doubled is not None
+                        if accepted:
+                            generator = [Fraction(d, 2 * scale) for d in doubled]
+                            assert type(m).from_function(
+                                n, lambda i, j: generator[i - 1] + generator[j - 1]
+                            ) == m
+                    assert no_unique == accepted, (basis, n, m)
+                    outcomes[basis].add(accepted)
+        assert all(seen == {True, False} for seen in outcomes.values())

@@ -30,7 +30,7 @@ from troprank.decomposition import (
     verify,
     verify_matrices,
 )
-from troprank.generators import generate, tr6_blocks, tr6_matrix
+from troprank.generators import block_matrix, generate, tr6_blocks, tr6_matrix
 from troprank.membership import PLUECKER, is_tree_matrix
 from troprank.deficiency import build_deficiency, chromatic_number
 from troprank.rank import (
@@ -41,7 +41,6 @@ from troprank.rank import (
     _candidate_topologies,
     _forced_splits,
     _pairing_sums,
-    block_matrix,
     compute_rank,
     exact_rank,
     finiteness_violation,

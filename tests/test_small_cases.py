@@ -14,6 +14,7 @@ from troprank.core import (
     frac,
     project,
     rank_one_symmetric,
+    term_minimizers,
 )
 from troprank.decomposition import STAR, SYM, TREE, CertificateError, verify
 from troprank.deficiency import (
@@ -31,7 +32,6 @@ from troprank.rank import exact_rank
 from troprank.small_cases import (
     PENTAGONS,
     TRIANGLES,
-    _minimizers,
     differ_by_transposition,
     Star5Witness,
     star5_rank2_decompose,
@@ -88,7 +88,7 @@ class TestPolynomialTerms:
             scale, values = m.scaled_to_integers()
             assert all(values[p] == m[p] * scale for p in m.positions())
             for terms in (PENTAGONS, P22):
-                assert _minimizers(terms, values) == fraction_minimizers(terms, m)
+                assert term_minimizers(terms, values) == fraction_minimizers(terms, m)
 
 
 class TestSym3:

@@ -14,9 +14,9 @@ which is exact at the intended scale (n <= 12 or so):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     INFINITE,
@@ -38,20 +38,27 @@ from .decomposition import (
     star_summand,
     tree_summand,
 )
-from .deficiency import _complement_components
+from .deficiency import _bits, _complement_components
 from .trees import WeightedTree, _add_edge
 
 CLIQUE = "clique"
 STAR_ELEMENT = "star"
 MULTIPARTITE = "multipartite"
 
-Edge = frozenset
-
 
 @dataclass(frozen=True)
 class ZeroOneGraph:
     n: int
     edges: frozenset[frozenset[int]]
+    # Bit u of adj[v] is set when uv is an edge; vertices are 1..n, so adj[0] is 0.
+    adj: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        adj = [0] * (self.n + 1)
+        for i, j in self.edges:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        object.__setattr__(self, "adj", tuple(adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "ZeroOneGraph":
@@ -76,21 +83,13 @@ class ZeroOneGraph:
         return range(1, self.n + 1)
 
     def neighbors(self, v: int) -> set[int]:
-        return {next(iter(e - {v})) for e in self.edges if v in e}
+        return set(_bits(self.adj[v]))
 
     def isolated_vertices(self) -> list[int]:
-        return [v for v in self.vertices() if not self.neighbors(v)]
+        return [v for v in self.vertices() if not self.adj[v]]
 
     def has_edge(self, i: int, j: int) -> bool:
         return frozenset({i, j}) in self.edges
-
-    def complement(self) -> "ZeroOneGraph":
-        comp = frozenset(
-            frozenset({i, j})
-            for i, j in itertools.combinations(self.vertices(), 2)
-            if not self.has_edge(i, j)
-        )
-        return ZeroOneGraph(self.n, comp)
 
 
 def _require_zero_one(m: Matrix) -> None:
@@ -141,84 +140,97 @@ class CoverElement:
 
 def maximal_cliques(g: ZeroOneGraph) -> list[tuple[int, ...]]:
     """Bron-Kerbosch with pivoting; isolated vertices appear as singletons."""
-    adj = {v: g.neighbors(v) for v in g.vertices()}
+    adj = g.adj
     out: list[tuple[int, ...]] = []
 
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
+    def expand(r: int, p: int, x: int) -> None:
         if not p and not x:
-            out.append(tuple(sorted(r)))
+            out.append(tuple(_bits(r)))
             return
-        pivot = max(sorted(p | x), key=lambda u: len(adj[u] & p))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
+        pivot = max(_bits(p | x), key=lambda u: (adj[u] & p).bit_count())
+        for v in _bits(p & ~adj[pivot]):
+            expand(r | 1 << v, p & adj[v], x & adj[v])
+            p ^= 1 << v
+            x |= 1 << v
 
-    expand(set(), set(g.vertices()), set())
+    expand(0, sum(1 << v for v in g.vertices()), 0)
     return sorted(out)
 
 
-def _exact_min_cover(
-    items: Sequence, candidates: Sequence[tuple[object, frozenset]]
-) -> tuple[int, list]:
-    """Smallest subfamily of candidate (payload, covered-items) pairs covering
-    all items; deterministic branch and bound on the scarcest item."""
-    items = list(items)
-    if not items:
-        return 0, []
-    coverers: dict = {it: [] for it in items}
-    for idx, (_, covered) in enumerate(candidates):
-        for it in covered:
-            if it in coverers:
-                coverers[it].append(idx)
-    if any(not lst for lst in coverers.values()):
-        raise ValueError("an item cannot be covered by any candidate")
+def _item_masks(items: Sequence, footprints: Iterable[Iterable]) -> list[int]:
+    """Each footprint as the mask of its members' positions in `items`."""
+    bit = {it: 1 << i for i, it in enumerate(items)}
+    return [sum(bit[it] for it in fp) for fp in footprints]
 
-    # Greedy upper bound.
-    uncovered = set(items)
-    greedy: list[int] = []
-    while uncovered:
-        idx = max(
-            range(len(candidates)), key=lambda k: (len(candidates[k][1] & uncovered), -k)
-        )
-        greedy.append(idx)
-        uncovered -= candidates[idx][1]
-    best: list[int] = greedy
-    max_cover = max(len(c[1]) for c in candidates)
-    item_order = {it: pos for pos, it in enumerate(items)}
 
-    def search(uncovered: frozenset, chosen: list[int]) -> None:
-        nonlocal best
+def _cover_search(
+    footprints: Sequence[int], uncovered: int, limit: int, found: Callable[[list[int]], int]
+) -> None:
+    """Depth-first search for covers of the item mask `uncovered` by at
+    most `limit` footprints (item masks).
+
+    It branches on the scarcest uncovered item (fewest covering footprints,
+    then the lowest index), trying its coverers in index order, and prunes
+    a branch that needs more than `limit` footprints even if every further
+    one were as large as the largest.  Each cover reached goes to `found`
+    as footprint indices in the order chosen; `found` returns the new limit.
+    """
+    coverers: dict[int, list[int]] = {i: [] for i in _bits(uncovered)}
+    for k, fp in enumerate(footprints):
+        for i in _bits(fp & uncovered):
+            coverers[i].append(k)
+    largest = max(fp.bit_count() for fp in footprints)
+    chosen: list[int] = []
+
+    def search(uncovered: int) -> None:
+        nonlocal limit
         if not uncovered:
-            if len(chosen) < len(best):
-                best = list(chosen)
+            if len(chosen) <= limit:
+                limit = found(chosen)
             return
-        bound = len(chosen) + (len(uncovered) + max_cover - 1) // max_cover
-        if bound >= len(best):
+        if len(chosen) + (uncovered.bit_count() + largest - 1) // largest > limit:
             return
-        item = min(uncovered, key=lambda it: (len(coverers[it]), item_order[it]))
-        for idx in coverers[item]:
-            if idx in chosen:
-                continue
-            search(uncovered - candidates[idx][1], chosen + [idx])
+        item = min(_bits(uncovered), key=lambda i: (len(coverers[i]), i))
+        for k in coverers[item]:
+            chosen.append(k)
+            search(uncovered & ~footprints[k])
+            chosen.pop()
 
-    search(frozenset(items), [])
-    return len(best), [candidates[idx][0] for idx in sorted(best)]
+    search(uncovered)
+
+
+def _exact_min_cover(footprints: Sequence[int], n_items: int) -> list[int]:
+    """Ascending indices of the fewest footprints (item masks) covering items
+    0..n_items-1: the greedy cover, then the cover search below its size."""
+    everything = (1 << n_items) - 1
+    best: list[int] = []
+    uncovered = everything
+    while uncovered:
+        k = max(
+            range(len(footprints)),
+            key=lambda k: ((footprints[k] & uncovered).bit_count(), -k),
+        )
+        if not footprints[k] & uncovered:
+            raise ValueError("an item cannot be covered by any candidate")
+        best.append(k)
+        uncovered &= ~footprints[k]
+
+    def found(cover: list[int]) -> int:
+        nonlocal best
+        best = list(cover)
+        return len(best) - 1
+
+    _cover_search(footprints, everything, len(best) - 1, found)
+    return sorted(best)
 
 
 def min_clique_cover(g: ZeroOneGraph) -> tuple[int, list[CoverElement]]:
     """Fewest cliques covering every edge and every vertex of G."""
-    cliques = maximal_cliques(g)
-    candidates = []
-    for c in cliques:
-        covered = frozenset(
-            {("v", v) for v in c}
-            | {("e", frozenset(p)) for p in itertools.combinations(c, 2)}
-        )
-        candidates.append((CoverElement(CLIQUE, vertices=c), covered))
-    items = [("v", v) for v in g.vertices()] + [("e", e) for e in sorted_edges(g)]
-    size, cover = _exact_min_cover(items, candidates)
-    return size, cover
+    cliques = [CoverElement(CLIQUE, vertices=c) for c in maximal_cliques(g)]
+    items = [*g.vertices(), *sorted_edges(g)]
+    footprints = _item_masks(items, (el.vertex_footprint() | el.edge_footprint() for el in cliques))
+    best = _exact_min_cover(footprints, len(items))
+    return len(best), [cliques[k] for k in best]
 
 
 def sorted_edges(g: ZeroOneGraph) -> list[frozenset[int]]:
@@ -280,7 +292,7 @@ def symmetric_rank_01(m: SymmetricMatrix) -> Rank01Result:
 def _star_candidates(g: ZeroOneGraph) -> list[CoverElement]:
     out = []
     for v in g.vertices():
-        nb = tuple(sorted(g.neighbors(v)))
+        nb = tuple(_bits(g.adj[v]))
         if nb:
             out.append(CoverElement(STAR_ELEMENT, center=v, leaves=nb))
     return out
@@ -300,10 +312,23 @@ def min_clique_star_cover(
     if not edges:
         return 0, [], False, None
     cliques = [CoverElement(CLIQUE, vertices=c) for c in maximal_cliques(g) if len(c) >= 2]
-    candidates = [(el, el.edge_footprint()) for el in cliques + _star_candidates(g)]
-    size, cover = _exact_min_cover(edges, candidates)
-    solid_cover = _find_solid_cover(g, candidates, edges, size)
-    return size, cover, solid_cover is not None, solid_cover
+    elements = cliques + _star_candidates(g)
+    footprints = _item_masks(edges, (el.edge_footprint() for el in elements))
+    best = _exact_min_cover(footprints, len(edges))
+    size = len(best)
+    solid_cover: Optional[list[CoverElement]] = None
+
+    def found(chosen: list[int]) -> int:
+        # Every cover reached has the minimum size; the first solid one ends the search.
+        nonlocal solid_cover
+        cover = [elements[k] for k in chosen]
+        if not _cover_is_solid(g, cover):
+            return size
+        solid_cover = cover
+        return -1
+
+    _cover_search(footprints, (1 << len(edges)) - 1, size, found)
+    return size, [elements[k] for k in best], solid_cover is not None, solid_cover
 
 
 def _cover_is_solid(g: ZeroOneGraph, elements: Sequence[CoverElement]) -> bool:
@@ -327,42 +352,6 @@ def _cover_is_solid(g: ZeroOneGraph, elements: Sequence[CoverElement]) -> bool:
             continue
         return False
     return True
-
-
-def _find_solid_cover(
-    g: ZeroOneGraph,
-    candidates: Sequence[tuple[CoverElement, frozenset]],
-    edges: Sequence[frozenset],
-    size: int,
-) -> Optional[list[CoverElement]]:
-    """Search all exact-size covers for a solid one."""
-    coverers: dict = {e: [] for e in edges}
-    for idx, (_, covered) in enumerate(candidates):
-        for e in covered:
-            if e in coverers:
-                coverers[e].append(idx)
-    result: Optional[list[CoverElement]] = None
-
-    def search(uncovered: frozenset, chosen: list[int]) -> bool:
-        nonlocal result
-        if not uncovered:
-            elements = [candidates[i][0] for i in chosen]
-            if _cover_is_solid(g, elements):
-                result = elements
-                return True
-            return False
-        if len(chosen) == size:
-            return False
-        item = min(uncovered, key=lambda e: (len(coverers[e]), tuple(sorted(e))))
-        for idx in coverers[item]:
-            if idx in chosen:
-                continue
-            if search(uncovered - candidates[idx][1], chosen + [idx]):
-                return True
-        return False
-
-    search(frozenset(edges), [])
-    return result
 
 
 def star_tree_rank_01(m: DissimilarityMatrix) -> Rank01Result:
@@ -414,12 +403,11 @@ def _multipartite_candidates(g: ZeroOneGraph) -> list[tuple[CoverElement, frozen
     of the complement restricted to S (non-edges must stay inside parts);
     it covers the most edges, so other partitions of S are dominated.
     """
-    adjacency = {v: g.neighbors(v) for v in g.vertices()}
     best: dict[frozenset, tuple[CoverElement, frozenset]] = {}
-    verts = list(g.vertices())
     for size in range(2, g.n + 1):
-        for subset in itertools.combinations(verts, size):
-            parts = tuple(sorted(map(tuple, _complement_components(list(subset), adjacency))))
+        for subset in itertools.combinations(g.vertices(), size):
+            comps = _complement_components(sum(1 << v for v in subset), g.adj)
+            parts = tuple(sorted(tuple(_bits(p)) for p in comps))
             if len(parts) < 2:
                 continue
             el = CoverElement(MULTIPARTITE, parts=parts)
@@ -443,7 +431,8 @@ def min_multipartite_cover(g: ZeroOneGraph) -> tuple[int, list[CoverElement]]:
     if not edges:
         return 0, []
     candidates = _multipartite_candidates(g)
-    return _exact_min_cover(edges, candidates)
+    best = _exact_min_cover(_item_masks(edges, (fp for _, fp in candidates)), len(edges))
+    return len(best), [candidates[k][0] for k in best]
 
 
 def multipartite_tree(el: CoverElement, n: int) -> WeightedTree:
@@ -492,59 +481,3 @@ def tree_rank_01(m: DissimilarityMatrix) -> Rank01Result:
     summands.append(star_summand([frac("1/2")] * n))
     dec = certify(m, Decomposition(TREE, tuple(summands)))
     return Rank01Result(r + 1, tuple(cover), dec, cover_size=r)
-
-
-def find_clique_of_size(g: ZeroOneGraph, k: int) -> Optional[tuple[int, ...]]:
-    if k <= 0:
-        return ()
-    adj = {v: g.neighbors(v) for v in g.vertices()}
-
-    def grow(clique: list[int], cand: set[int]) -> Optional[tuple[int, ...]]:
-        if len(clique) == k:
-            return tuple(clique)
-        if len(clique) + len(cand) < k:
-            return None
-        for v in sorted(cand):
-            got = grow(clique + [v], {u for u in cand if u > v and u in adj[v]})
-            if got is not None:
-                return got
-        return None
-
-    return grow([], set(g.vertices()))
-
-
-def find_independent_set_of_size(g: ZeroOneGraph, k: int) -> Optional[tuple[int, ...]]:
-    return find_clique_of_size(g.complement(), k)
-
-
-def cover_via_ramsey_witness(g: ZeroOneGraph, k: int) -> Optional[list[CoverElement]]:
-    """Cover of size <= n-k+1 from a k-clique or k-independent set, if any.
-
-    A clique yields stars at the other vertices plus the clique itself; an
-    independent set yields just the stars at the other vertices.  For
-    n >= 18 and k = 4 one of the two always exists.
-    """
-    clique = find_clique_of_size(g, k)
-    chosen = clique if clique is not None else find_independent_set_of_size(g, k)
-    if chosen is None:
-        return None
-    cover = [
-        CoverElement(STAR_ELEMENT, center=v, leaves=tuple(sorted(g.neighbors(v))))
-        for v in g.vertices()
-        if v not in chosen and g.neighbors(v)
-    ]
-    if clique is not None:
-        cover.append(CoverElement(CLIQUE, vertices=clique))
-    _check_edge_cover(g, cover)
-    return cover
-
-
-def _check_edge_cover(g: ZeroOneGraph, cover: Sequence[CoverElement]) -> None:
-    covered = set()
-    for el in cover:
-        fp = el.edge_footprint()
-        if not fp <= g.edges:
-            raise CertificateError("cover element escapes the graph")
-        covered |= fp
-    if covered != g.edges:
-        raise CertificateError("cover misses an edge")

@@ -125,8 +125,7 @@ def optimal_coloring(h: DeficiencyHypergraph):
     """(chi, coloring) with colors 1..chi, or (inf, None) given a loop."""
     if any(len(e) == 1 for e in h.hyperedges):
         return INFINITE, None
-    chi, coloring = exact_graph_coloring(list(h.vertices), h.graph_edges())
-    return chi, coloring
+    return exact_graph_coloring(h.vertices, h.graph_edges())
 
 
 def rank_lower_bound(w: Matrix, basis: str):
@@ -134,6 +133,9 @@ def rank_lower_bound(w: Matrix, basis: str):
 
 
 # --- exact graph coloring -------------------------------------------------
+#
+# A vertex set is an int bitmask and a graph is one neighbor mask per
+# vertex: bit u of adj[v] is set when u and v are adjacent.
 
 
 def exact_graph_coloring(vertices: Sequence, edges: Iterable[frozenset]):
@@ -142,183 +144,150 @@ def exact_graph_coloring(vertices: Sequence, edges: Iterable[frozenset]):
     Strategy: split off vertices of positive degree, decompose along
     connected components of the complement (the graph is then a join, and
     chromatic numbers add), and solve each factor by iterated k-coloring
-    with clique and greedy bounds.
+    between the clique bound and the DSATUR greedy bound.
     """
     vertices = list(vertices)
     if not vertices:
         return 1, {}
-    adjacency: dict = {v: set() for v in vertices}
+    index = {v: i for i, v in enumerate(vertices)}
+    adj = [0] * len(vertices)
     for e in edges:
-        u, v = sorted(e)
-        if u == v:
+        if len(e) == 1:
             raise ValueError("loops make the chromatic number infinite")
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    active = [v for v in vertices if adjacency[v]]
-    coloring = {v: 1 for v in vertices if not adjacency[v]}
+        u, v = (index[x] for x in e)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    coloring = {v: 1 for v, nb in zip(vertices, adj) if not nb}
+    active = sum(1 << i for i, nb in enumerate(adj) if nb)
     if not active:
         return 1, coloring
-    best = 0
-    for part in _complement_components(active, adjacency):
-        k, part_coloring = _color_component(part, adjacency)
-        for v, c in part_coloring.items():
-            coloring[v] = best + c
-        best += k
-    return best, coloring
+    chi = 0
+    for part in _complement_components(active, adj):
+        colors = [-1] * len(adj)
+        _dsatur(part, adj, 1 + max((adj[i] & part).bit_count() for i in _bits(part)), colors)
+        k = max(colors) + 1
+        for low in range(_max_clique_mask(part, adj).bit_count(), k):
+            attempt = _k_coloring(part, adj, low)
+            if attempt is not None:
+                k, colors = low, attempt
+                break
+        for i in _bits(part):
+            coloring[vertices[i]] = chi + colors[i] + 1
+        chi += k
+    return chi, coloring
 
 
-def _complement_components(vertices: list, adjacency: dict) -> list[list]:
-    remaining = set(vertices)
+def _bits(mask: int):
+    """The set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _complement_components(vertices: int, adj: Sequence[int]) -> list[int]:
+    """The connected components of the complement graph on `vertices`, as masks."""
     parts = []
-    while remaining:
-        seed = next(iter(remaining))
-        comp = {seed}
-        frontier = [seed]
+    while vertices:
+        comp = frontier = vertices & -vertices
         while frontier:
-            u = frontier.pop()
-            for v in list(remaining - comp):
-                if v not in adjacency[u]:
-                    comp.add(v)
-                    frontier.append(v)
-        parts.append(sorted(comp))
-        remaining -= comp
+            u = frontier.bit_length() - 1
+            frontier ^= 1 << u
+            reached = vertices & ~comp & ~adj[u]
+            comp |= reached
+            frontier |= reached
+        parts.append(comp)
+        vertices &= ~comp
     return parts
 
 
-def _color_component(vertices: list, adjacency: dict):
-    index = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
-    adj_mask = [0] * n
-    for v in vertices:
-        for u in adjacency[v]:
-            if u in index:
-                adj_mask[index[v]] |= 1 << index[u]
-    clique = _max_clique_mask(n, adj_mask)
-    lb = bin(clique).count("1")
-    ub, greedy = _dsatur_greedy(n, adj_mask)
-    if lb == ub:
-        return ub, {vertices[i]: greedy[i] + 1 for i in range(n)}
-    for k in range(lb, ub):
-        attempt = _k_coloring(n, adj_mask, k)
-        if attempt is not None:
-            return k, {vertices[i]: attempt[i] + 1 for i in range(n)}
-    return ub, {vertices[i]: greedy[i] + 1 for i in range(n)}
-
-
-def _max_clique_mask(n: int, adj_mask: list[int]) -> int:
+def _max_clique_mask(part: int, adj: list[int]) -> int:
     best_mask = 0
 
     def expand(clique_mask: int, cand: int, size: int) -> None:
         nonlocal best_mask
-        if size + bin(cand).count("1") <= bin(best_mask).count("1"):
+        if size + cand.bit_count() <= best_mask.bit_count():
             return
         if cand == 0:
-            if size > bin(best_mask).count("1"):
+            if size > best_mask.bit_count():
                 best_mask = clique_mask
             return
         while cand:
-            if size + bin(cand).count("1") <= bin(best_mask).count("1"):
+            if size + cand.bit_count() <= best_mask.bit_count():
                 return
             v = cand.bit_length() - 1
             bit = 1 << v
             cand &= ~bit
-            expand(clique_mask | bit, cand & adj_mask[v], size + 1)
+            expand(clique_mask | bit, cand & adj[v], size + 1)
 
-    expand(0, (1 << n) - 1, 0)
+    expand(0, part, 0)
     return best_mask
 
 
-def _dsatur_greedy(n: int, adj_mask: list[int]):
-    colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    degrees = [bin(m).count("1") for m in adj_mask]
-    for _ in range(n):
-        v = max(
-            (i for i in range(n) if colors[i] < 0),
-            key=lambda i: (len(neighbor_colors[i]), degrees[i]),
-        )
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        colors[v] = c
-        mask = adj_mask[v]
-        while mask:
-            u = mask.bit_length() - 1
-            mask &= ~(1 << u)
-            neighbor_colors[u].add(c)
-    return max(colors) + 1, colors
-
-
-def _k_coloring(n: int, adj_mask: list[int], k: int) -> Optional[list[int]]:
-    """Backtracking k-coloring with low-degree peeling and DSATUR selection."""
+def _k_coloring(part: int, adj: list[int], k: int) -> Optional[list[int]]:
+    """A coloring of `part` with colors 0..k-1 (-1 off `part`), or None."""
     # Vertices with degree < k can always be colored last.
-    active = set(range(n))
+    core = part
     peeled: list[int] = []
     changed = True
     while changed:
         changed = False
-        for v in list(active):
-            if bin(adj_mask[v] & _mask_of(active)).count("1") < k:
-                active.remove(v)
+        for v in _bits(core):
+            if (adj[v] & core).bit_count() < k:
+                core ^= 1 << v
                 peeled.append(v)
                 changed = True
-    colors = [-1] * n
-    if active and not _k_color_core(sorted(active), adj_mask, k, colors):
+    colors = [-1] * len(adj)
+    if not _dsatur(core, adj, k, colors):
         return None
     for v in reversed(peeled):
-        used = {colors[u] for u in _bits(adj_mask[v]) if colors[u] >= 0}
-        c = next(c for c in range(k) if c not in used)
-        colors[v] = c
+        used = {colors[u] for u in _bits(adj[v] & part)}
+        colors[v] = next(c for c in range(k) if c not in used)
     return colors
 
 
-def _mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
+def _dsatur(part: int, adj: list[int], k: int, colors: list[int]) -> bool:
+    """Color the vertices of `part` into `colors` with colors 0..k-1.
 
-
-def _bits(mask: int):
-    while mask:
-        v = mask.bit_length() - 1
-        mask &= ~(1 << v)
-        yield v
-
-
-def _k_color_core(core: list[int], adj_mask: list[int], k: int, colors: list[int]) -> bool:
-    uncolored = set(core)
-
-    def choose() -> int:
-        return max(
-            uncolored,
-            key=lambda v: (
-                len({colors[u] for u in _bits(adj_mask[v]) if colors[u] >= 0}),
-                bin(adj_mask[v]).count("1"),
-            ),
-        )
-
-    def backtrack(max_used: int) -> bool:
-        if not uncolored:
-            return True
-        v = choose()
-        used = {colors[u] for u in _bits(adj_mask[v]) if colors[u] >= 0}
-        if len(used) >= k:
-            return False
-        uncolored.remove(v)
-        # New colors only in canonical order: prunes color permutations.
-        limit = min(k, max_used + 2)
-        for c in range(limit):
-            if c in used:
-                continue
-            colors[v] = c
-            if backtrack(max(max_used, c)):
+    DSATUR backtracking (Brélaz 1979): the next vertex has the most
+    distinct colors among its neighbors, then the highest degree in
+    `part`, then the lowest index.  Each uncolored vertex keeps a count of
+    its neighbors per color, updated as colors are placed and taken back.
+    With k above the largest degree in `part` no vertex runs out of
+    colors, so nothing is taken back and the result is the DSATUR greedy
+    coloring.
+    The placed colors form an explicit stack, so no recursion limit
+    applies to the size of `part`.
+    """
+    counts = {v: [0] * k for v in _bits(part)}
+    saturation = dict.fromkeys(counts, 0)
+    degree = {v: (adj[v] & part).bit_count() for v in counts}
+    placed: list[tuple[int, int, int]] = []  # (vertex, color, highest color before it)
+    uncolored, top, v, first = part, -1, -1, 0
+    while True:
+        if v < 0:
+            if not uncolored:
                 return True
-            colors[v] = -1
-        uncolored.add(v)
-        return False
-
-    return backtrack(-1)
+            v = max(_bits(uncolored), key=lambda u: (saturation[u], degree[u]))
+            uncolored ^= 1 << v
+            first = 0
+        # New colors only in canonical order: prunes color permutations.
+        c = next((c for c in range(first, min(k, top + 2)) if not counts[v][c]), -1)
+        if c >= 0:
+            placed.append((v, c, top))
+            colors[v], top, step = c, max(top, c), 1
+        else:
+            uncolored |= 1 << v
+            if not placed:
+                return False
+            v, c, top = placed.pop()
+            colors[v], first, step = -1, c + 1, -1
+        for u in _bits(adj[v] & uncolored):
+            counts[u][c] += step
+            if counts[u][c] == (step > 0):  # c is new to u, or gone from it
+                saturation[u] += step
+        if step > 0:
+            v = -1
 
 
 # --- the Petersen graph on pairs of [5] ------------------------------------

@@ -8,9 +8,6 @@ import pytest
 from troprank.core import DissimilarityMatrix, SymmetricMatrix
 from troprank.covers import (
     ZeroOneGraph,
-    cover_via_ramsey_witness,
-    find_clique_of_size,
-    find_independent_set_of_size,
     min_clique_cover,
     min_clique_star_cover,
     min_multipartite_cover,
@@ -172,6 +169,62 @@ class TestCliqueStarCover:
             footprints = all_cliques(g) + all_stars(g)
             assert size == brute_min_edge_cover(g, footprints)
 
+    def test_solid_flag_matches_brute_force(self, rng):
+        # Solid exactly when some minimum cover by maximal cliques (>= 2
+        # vertices) and full-neighbourhood stars is solid.
+        from troprank.covers import CLIQUE, STAR_ELEMENT, CoverElement, _cover_is_solid
+
+        # In the first two graphs the first minimum cover the search meets is
+        # not solid and a later one is; random graphs rarely have that.
+        graphs = [
+            ZeroOneGraph.from_edges(6, [(1, 5), (1, 6), (2, 5), (3, 4), (3, 5), (3, 6), (4, 5)]),
+            ZeroOneGraph.from_edges(7, [(1, 6), (2, 3), (2, 5), (3, 4), (3, 6), (4, 6), (6, 7)]),
+        ]
+        for _ in range(60):
+            n = rng.randint(4, 7)
+            density = rng.choice((0.3, 0.5, 0.7))
+            edges = [
+                p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < density
+            ]
+            graphs.append(ZeroOneGraph.from_edges(n, edges))
+        outcomes = set()
+        for g in graphs:
+            n = g.n
+            if not g.edges:
+                continue
+            cliques = [
+                vs
+                for size in range(2, n + 1)
+                for vs in itertools.combinations(g.vertices(), size)
+                if all(g.has_edge(a, b) for a, b in itertools.combinations(vs, 2))
+            ]
+            elements = [
+                CoverElement(CLIQUE, vertices=c)
+                for c in cliques
+                if not any(set(c) < set(d) for d in cliques)
+            ] + [
+                CoverElement(STAR_ELEMENT, center=v, leaves=tuple(sorted(g.neighbors(v))))
+                for v in g.vertices()
+                if g.neighbors(v)
+            ]
+            for r in range(1, len(elements) + 1):
+                covers = [
+                    combo
+                    for combo in itertools.combinations(elements, r)
+                    if frozenset().union(*(el.edge_footprint() for el in combo)) == g.edges
+                ]
+                if covers:
+                    break
+            any_solid = any(_cover_is_solid(g, combo) for combo in covers)
+            size, _, solid, solid_cover = min_clique_star_cover(g)
+            assert size == r and solid == any_solid
+            if solid:
+                assert len(solid_cover) == r
+                assert frozenset().union(*(el.edge_footprint() for el in solid_cover)) == g.edges
+                assert _cover_is_solid(g, solid_cover)
+            outcomes.add(solid)
+        assert outcomes == {True, False}
+
 
 class TestStarTreeRank01:
     def test_intro_projection(self, intro_dissimilarity):
@@ -266,38 +319,6 @@ class TestTreeRank01:
             assert multi <= star <= clique
 
 
-class TestRamseyWitness:
-    def test_complete_graph_with_full_clique(self):
-        g = ZeroOneGraph.from_edges(5, list(itertools.combinations(range(1, 6), 2)))
-        cover = cover_via_ramsey_witness(g, 5)
-        assert cover is not None and len(cover) == 1
-
-    def test_five_cycle_with_pairs(self):
-        cover = cover_via_ramsey_witness(cycle_graph(5), 2)
-        assert cover is not None and len(cover) <= 4
-
-    def test_absent_witness(self):
-        # C5 has no triangle and no independent set of size 3? It has {1,3}.
-        # Independent set {1, 3} has size 2; k=3 needs {1,3,5}? 5-1 is an edge.
-        g = cycle_graph(5)
-        assert find_clique_of_size(g, 3) is None
-        assert find_independent_set_of_size(g, 3) is None
-        assert cover_via_ramsey_witness(g, 3) is None
-
-    def test_eighteen_vertices_always_succeed(self, rng):
-        # At the two-coloring threshold for clique-or-independent-set size 4.
-        for seed in range(3):
-            edges = [
-                p
-                for p in itertools.combinations(range(1, 19), 2)
-                if rng.random() < 0.5
-            ]
-            g = ZeroOneGraph.from_edges(18, edges)
-            cover = cover_via_ramsey_witness(g, 4)
-            assert cover is not None
-            assert len(cover) <= 18 - 4 + 1
-
-
 class TestSolidCoverOpenQuestion:
     def test_no_weakening_example_on_random_corpus(self, rng):
         # The cover bound may return r+1 without a solid cover; the exact
@@ -338,24 +359,7 @@ class TestInternalFaults:
 
         g = ZeroOneGraph.from_edges(4, [(1, 3), (2, 4)])
         monkeypatch.setattr(
-            covers_module, "_complement_components", lambda vertices, adjacency: [[1], [2]]
+            covers_module, "_complement_components", lambda vertices, adj: [1 << 1, 1 << 2]
         )
         with pytest.raises(CertificateError, match="footprint escaped"):
             min_multipartite_cover(g)
-
-    def test_ramsey_cover_element_outside_the_graph(self, monkeypatch):
-        import troprank.covers as covers_module
-
-        g = ZeroOneGraph.from_edges(4, [(1, 3), (2, 3), (3, 4)])
-        monkeypatch.setattr(covers_module, "find_clique_of_size", lambda graph, k: (1, 2, 3))
-        with pytest.raises(CertificateError, match="escapes the graph"):
-            cover_via_ramsey_witness(g, 3)
-
-    def test_ramsey_cover_missing_an_edge(self, monkeypatch):
-        import troprank.covers as covers_module
-
-        g = ZeroOneGraph.from_edges(4, list(itertools.combinations(range(1, 5), 2)))
-        monkeypatch.setattr(covers_module, "find_clique_of_size", lambda graph, k: None)
-        monkeypatch.setattr(covers_module, "find_independent_set_of_size", lambda graph, k: (1, 2))
-        with pytest.raises(CertificateError, match="misses an edge"):
-            cover_via_ramsey_witness(g, 2)

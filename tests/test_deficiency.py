@@ -204,6 +204,31 @@ class TestChromaticNumber:
             assert chi == brute_chromatic(verts, edges)
             assert proper(coloring, edges)
 
+    def test_colorings_that_take_colors_back(self):
+        # The Groetzsch graph: triangle-free with minimum degree 3, so nothing
+        # is peeled at k = 3 and both refutations below chi = 4 backtrack.
+        outer = [frozenset({i, (i + 1) % 5}) for i in range(5)]
+        spokes = [frozenset({i, 5 + j}) for i in range(5) for j in ((i - 1) % 5, (i + 1) % 5)]
+        hub = [frozenset({5 + i, 10}) for i in range(5)]
+        groetzsch = outer + spokes + hub
+        assert len(groetzsch) == 20
+        # Not 3-colorable (checked by brute force); the DSATUR greedy uses 5
+        # colors, and the 4-coloring is found only after colors are taken back.
+        hard = [
+            frozenset(e)
+            for e in [(0, 1), (0, 2), (0, 4), (0, 5), (0, 6), (0, 8), (0, 9), (1, 2), (1, 3),
+                      (1, 5), (2, 5), (2, 6), (2, 7), (2, 9), (3, 4), (3, 5), (3, 7), (3, 8),
+                      (4, 5), (4, 8), (4, 9), (5, 6), (6, 7), (6, 8), (7, 8), (7, 9)]
+        ]
+        for n, edges in ((11, groetzsch), (10, hard)):
+            chi, coloring = exact_graph_coloring(list(range(n)), edges)
+            assert chi == 4
+            assert proper(coloring, edges) and set(coloring.values()) == {1, 2, 3, 4}
+
+    def test_loop_is_rejected(self):
+        with pytest.raises(ValueError, match="loops make the chromatic number infinite"):
+            exact_graph_coloring([(1, 2)], [frozenset({(1, 2)})])
+
     def test_join_decomposition_path(self):
         # Two triangles joined completely: chromatic number 6.
         verts = list(range(6))

@@ -125,26 +125,20 @@ def is_tropically_singular_3x3(m: SymmetricMatrix) -> bool:
     return len(term_minimizers(terms, m.scaled_to_integers()[1])) >= 2
 
 
-PERFECT_MATCHINGS_6 = tuple(
-    tuple(sorted(matching))
-    for matching in (
-        frozenset({(1, 2), (3, 4), (5, 6)}),
-        frozenset({(1, 2), (3, 5), (4, 6)}),
-        frozenset({(1, 2), (3, 6), (4, 5)}),
-        frozenset({(1, 3), (2, 4), (5, 6)}),
-        frozenset({(1, 3), (2, 5), (4, 6)}),
-        frozenset({(1, 3), (2, 6), (4, 5)}),
-        frozenset({(1, 4), (2, 3), (5, 6)}),
-        frozenset({(1, 4), (2, 5), (3, 6)}),
-        frozenset({(1, 4), (2, 6), (3, 5)}),
-        frozenset({(1, 5), (2, 3), (4, 6)}),
-        frozenset({(1, 5), (2, 4), (3, 6)}),
-        frozenset({(1, 5), (2, 6), (3, 4)}),
-        frozenset({(1, 6), (2, 3), (4, 5)}),
-        frozenset({(1, 6), (2, 4), (3, 5)}),
-        frozenset({(1, 6), (2, 5), (3, 4)}),
-    )
-)
+def _perfect_matchings(points: tuple[int, ...]) -> list[tuple[Position, ...]]:
+    """Perfect matchings of sorted points as sorted tuples of pairs, in
+    sorted order: the first point pairs with each later one in turn."""
+    if not points:
+        return [()]
+    first, rest = points[0], points[1:]
+    return [
+        ((first, partner),) + tail
+        for k, partner in enumerate(rest)
+        for tail in _perfect_matchings(rest[:k] + rest[k + 1 :])
+    ]
+
+
+PERFECT_MATCHINGS_6 = tuple(_perfect_matchings((1, 2, 3, 4, 5, 6)))
 
 
 def pfaffian_minimizers(m: DissimilarityMatrix) -> list[tuple[Position, ...]]:

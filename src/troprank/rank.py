@@ -290,15 +290,13 @@ def exact_rank(
     m: Matrix,
     notion: str,
     budget: Optional[int] = None,
-    *,
-    search_from_one: bool = False,
 ) -> RankResult:
     """Smallest number of variety summands reproducing m, with certificates.
 
-    The search runs r upward from the chromatic lower bound (or from 1
-    when `search_from_one`), stopping below the size of the constructive
-    upper bound, which depends on n alone; the construction, a verified
-    decomposition, is built only when the search finds nothing smaller.
+    The search runs r upward from the chromatic lower bound, stopping
+    below the size of the constructive upper bound, which depends on n
+    alone; the construction, a verified decomposition, is built only when
+    the search finds nothing smaller.
     Intended scale: n <= 7.
     """
     check_space(m, notion)
@@ -307,7 +305,7 @@ def exact_rank(
         return front
     hypergraph, chi = front
     ub = upper_size(notion, m.n)
-    low = 1 if search_from_one else max(1, chi)
+    low = max(1, chi)
     budget_eff = ub if budget is None else budget
 
     searcher = _AssignmentSearcher(m, notion, hypergraph)

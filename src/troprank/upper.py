@@ -11,7 +11,10 @@ block (n - 3).  These sizes depend on n alone (`upper_size`), and each
 construction raises if it misses its size.  `rank.tree_upper_decomposition`
 adds the 5x5 two-tree classifier on top.
 
-Constructions that need a "sufficiently large" padding constant go through
+Each bound has one construction, split into a fixed part built once (the
+symmetric partial generators of one recursion, the 3x3 star generator,
+the matching split's three 4x4 blocks on the input's own labels, the peel's
+6x6 base) and a padding step.  Only the padding step goes through
 `decomposition.verified_padded`, which verifies each result and retries
 with a doubled constant.
 """
@@ -115,64 +118,67 @@ def symmetric_upper_decomposition(m: SymmetricMatrix) -> Decomposition:
 
     Inductive construction: split off two rows through a minimal
     off-diagonal entry, recurse on the rest allowing one relaxed diagonal
-    entry, and patch with the displayed two-row blocks.
+    entry, and patch with the displayed two-row blocks.  The partial
+    generators do not depend on the padding constant; only their padding
+    is retried.
     """
     violation = finiteness_violation(m)
     if violation is not None:
         raise ValueError(f"infinite rank: entry pair {violation} violates finiteness")
     normalized, offsets = normalize_diagonal(m)
+    partials = _sym_partials(normalized, tuple(range(1, m.n + 1)))
 
     def build(c: Fraction) -> Decomposition:
-        partials = _sym_exact(normalized, tuple(range(1, m.n + 1)), c)
-        summands = []
-        for partial in partials:
-            gen = pad_generator(partial, m.n, c)
-            summands.append(
-                rank1_summand([gen[i] + offsets[i] for i in range(m.n)])
-            )
-        return Decomposition(SYM, tuple(summands))
+        return Decomposition(
+            SYM,
+            tuple(
+                rank1_summand([x + o for x, o in zip(pad_generator(partial, m.n, c), offsets)])
+                for partial in partials
+            ),
+        )
 
     return _sized(verified_padded(m, build, 1 + m.max_abs_entry()), m.n)
 
 
-def _sym_exact(m0, idx: tuple[int, ...], c) -> list[dict[int, Fraction]]:
+def _sym_partials(m0, idx: tuple[int, ...], relaxed: bool = False) -> list[dict[int, Fraction]]:
+    """Partial generators whose rank-one sum is m0 on idx; when `relaxed`,
+    one diagonal entry other than idx[0]'s may come out raised.
+
+    From four indices on: split off the two rows a, b through a minimal
+    entry, recurse relaxed on the rest and patch a, b back in.  The relaxed
+    recursion never raises the diagonal entry at rest[0] = head, and the
+    patch blocks fix the diagonal entry of every other index of rest, so
+    nothing stays relaxed.  The two- and three-element blocks relax by
+    dropping their last partial, the only one that fixes the diagonal
+    entry of their last index.
+    """
     k = len(idx)
+    if k >= 4:
+        a, b = min(itertools.combinations(idx, 2), key=lambda p: (m0[p], p))
+        rest = tuple(t for t in idx if t not in (a, b))
+        head = rest[0]
+        if m0[(a, head)] < m0[(b, head)]:
+            a, b = b, a
+        out = _sym_partials(m0, rest, relaxed=True)
+        for i in rest[1:]:
+            out.append({a: m0[(a, i)], b: m0[(b, i)], i: Fraction(0)})
+        out.append({a: Fraction(0), b: m0[(a, b)], head: m0[(a, head)]})
+        out.append({b: Fraction(0), head: m0[(b, head)]})
+        return out
     if k == 1:
         return [{idx[0]: Fraction(0)}]
     if k == 2:
         a, b = idx
         v = m0[(a, b)]
-        return [{a: Fraction(0), b: v}, {a: v, b: Fraction(0)}]
-    if k == 3:
-        x, y, z = _sym_frame3(m0, idx, forbid_first=False)
-        return [
+        block = [{a: Fraction(0), b: v}, {a: v, b: Fraction(0)}]
+    else:
+        x, y, z = _sym_frame3(m0, idx, forbid_first=relaxed)
+        block = [
             {x: Fraction(0), y: m0[(x, y)], z: m0[(x, z)]},
             {y: Fraction(0), z: m0[(y, z)]},
             {z: Fraction(0)},
         ]
-    return _sym_split_step(m0, idx, c)
-
-
-def _sym_relaxed(m0, idx: tuple[int, ...], c) -> tuple[list[dict[int, Fraction]], Optional[int]]:
-    """Decomposition matching m0 on idx except one raised diagonal entry.
-
-    The relaxed coordinate is never idx[0]; the caller's patch blocks fix
-    diagonals everywhere except there.
-    """
-    k = len(idx)
-    if k == 2:
-        a, b = idx
-        return [{a: Fraction(0), b: m0[(a, b)]}], b
-    if k == 3:
-        x, y, z = _sym_frame3(m0, idx, forbid_first=True)
-        return (
-            [
-                {x: Fraction(0), y: m0[(x, y)], z: m0[(x, z)]},
-                {y: Fraction(0), z: m0[(y, z)]},
-            ],
-            z,
-        )
-    return _sym_split_step(m0, idx, c), None
+    return block[:-1] if relaxed else block
 
 
 def _sym_frame3(m0, idx: tuple[int, ...], forbid_first: bool) -> tuple[int, int, int]:
@@ -190,132 +196,78 @@ def _sym_frame3(m0, idx: tuple[int, ...], forbid_first: bool) -> tuple[int, int,
     raise CertificateError("no admissible three-element frame")
 
 
-def _sym_split_step(m0, idx: tuple[int, ...], c) -> list[dict[int, Fraction]]:
-    """Split off the two rows a, b through a minimal entry, recurse on the
-    rest and patch a, b back in.
-
-    The recursion may relax one diagonal entry of rest, but never the one
-    at rest[0] = head (`_sym_relaxed` keeps its relaxed index off idx[0]),
-    and the patch blocks below fix the diagonal entry of every other index
-    of rest, so nothing stays relaxed.
-    """
-    a, b = min(itertools.combinations(idx, 2), key=lambda p: (m0[p], p))
-    rest = tuple(t for t in idx if t not in (a, b))
-    head = rest[0]
-    if m0[(a, head)] < m0[(b, head)]:
-        a, b = b, a
-    sub, _ = _sym_relaxed(m0, rest, c)
-    out = list(sub)
-    for i in rest[1:]:
-        out.append({a: m0[(a, i)], b: m0[(b, i)], i: Fraction(0)})
-    out.append({a: Fraction(0), b: m0[(a, b)], head: m0[(a, head)]})
-    out.append({b: Fraction(0), head: m0[(b, head)]})
-    return out
-
-
 # --- star tree upper bound -------------------------------------------------
 
 
 def star_upper_decomposition(m: DissimilarityMatrix) -> Decomposition:
-    """n-2 star summands: peel the last index with one fresh star."""
+    """n-2 star summands: from the generator of the leading 3x3 block, add
+    each index k = 4..n with one fresh star and pad the earlier ones."""
+    first = star_generator(principal_submatrix(m, (1, 2, 3)))
 
     def build(c: Fraction) -> Decomposition:
-        return Decomposition(
-            STAR, tuple(star_summand(v) for v in _star_vectors(m, c))
-        )
+        vectors = [first]
+        for k in range(4, m.n + 1):
+            vectors = [v + (_pad_value(v, c),) for v in vectors]
+            vectors.append(tuple(m[(i, k)] + c for i in range(1, k)) + (-c,))
+        return Decomposition(STAR, tuple(star_summand(v) for v in vectors))
 
     return _sized(verified_padded(m, build, 1 + m.max_abs_entry()), m.n)
 
 
-def _star_vectors(m: DissimilarityMatrix, c: Fraction) -> list[tuple[Fraction, ...]]:
-    if m.n == 3:
-        return [star_generator(m)]
-    sub = principal_submatrix(m, range(1, m.n))
-    inner = _star_vectors(sub, c)
-    extended = [v + (_pad_value(v, c),) for v in inner]
-    last = tuple(m[(i, m.n)] + c for i in range(1, m.n)) + (-c,)
-    return extended + [last]
+# --- tree upper bound ------------------------------------------------------
 
 
-def _tree_from_star(m: DissimilarityMatrix) -> Decomposition:
-    star = star_upper_decomposition(m)
-    return Decomposition(TREE, star.summands)
-
-
-def _tree6_decomposition(m: DissimilarityMatrix, c: Fraction) -> Decomposition:
+def _matching_split(m: DissimilarityMatrix) -> Decomposition:
     """Three tree summands for any 6x6 input, split along a minimal matching.
 
-    Relabel so the minimal perfect matching is {12, 34, 56}; each block
-    keeps the matrix entries it is responsible for and closes its fourth
-    pairing with the smaller of the two alternatives, which the matching
-    minimality makes dominant.
+    With the minimal perfect matching's pairs in order P0, P1, P2, each
+    block lives on two pairs: it keeps the entry of one pair Pt and closes
+    the next pair P(t+1 mod 3) with the smaller of its two cross pairings
+    minus the kept entry, which the matching minimality makes dominant.
+    The blocks sit on the input's own labels; only their embedding into
+    six leaves depends on the padding constant.
     """
-    matching = sorted(pfaffian_minimizers(m))[0]
-    order: list[int] = [v for pair in sorted(matching) for v in pair]
-    image = [0] * 6
-    for slot, vertex in enumerate(order, start=1):
-        image[vertex - 1] = slot
-    relabeled = DissimilarityMatrix.from_function(
-        6, lambda i, j: m[(order[i - 1], order[j - 1])]
-    )
-    r = relabeled
-    x1 = min(r[(1, 3)] + r[(2, 4)], r[(1, 4)] + r[(2, 3)]) - r[(1, 2)]
-    x2 = min(r[(1, 5)] + r[(2, 6)], r[(1, 6)] + r[(2, 5)]) - r[(5, 6)]
-    x3 = min(r[(3, 5)] + r[(4, 6)], r[(3, 6)] + r[(4, 5)]) - r[(3, 4)]
-    block_a = DissimilarityMatrix.from_rows(
-        [
-            [None, r[(1, 2)], r[(1, 3)], r[(1, 4)]],
-            [r[(1, 2)], None, r[(2, 3)], r[(2, 4)]],
-            [r[(1, 3)], r[(2, 3)], None, x1],
-            [r[(1, 4)], r[(2, 4)], x1, None],
-        ]
-    )
-    block_b = DissimilarityMatrix.from_rows(
-        [
-            [None, x2, r[(1, 5)], r[(1, 6)]],
-            [x2, None, r[(2, 5)], r[(2, 6)]],
-            [r[(1, 5)], r[(2, 5)], None, r[(5, 6)]],
-            [r[(1, 6)], r[(2, 6)], r[(5, 6)], None],
-        ]
-    )
-    block_c = DissimilarityMatrix.from_rows(
-        [
-            [None, r[(3, 4)], r[(3, 5)], r[(3, 6)]],
-            [r[(3, 4)], None, r[(4, 5)], r[(4, 6)]],
-            [r[(3, 5)], r[(4, 5)], None, x3],
-            [r[(3, 6)], r[(4, 6)], x3, None],
-        ]
-    )
-    summands = []
-    for block, slots in (
-        (block_a, (1, 2, 3, 4)),
-        (block_b, (1, 2, 5, 6)),
-        (block_c, (3, 4, 5, 6)),
-    ):
-        tree = embed_tree_block(block, slots, 6, c)
-        # Undo the relabeling: slot v carries original leaf order[v-1].
-        tree = tree.relabelled_leaves({v: order[v - 1] for v in range(1, 7)}, 6)
-        summands.append(tree_summand(tree))
-    return Decomposition(TREE, tuple(summands))
+    pairs = sorted(pfaffian_minimizers(m))[0]
+    blocks = []
+    # Summand order: the blocks on P0 P1, P0 P2 and P1 P2.
+    for keep, close in ((0, 1), (2, 0), (1, 2)):
+        (a, b), (p, q) = pairs[keep], pairs[close]
+        closing = min(m[(a, p)] + m[(b, q)], m[(a, q)] + m[(b, p)]) - m[(a, b)]
+        leaves = [v for pair in sorted((pairs[keep], pairs[close])) for v in pair]
+        block = DissimilarityMatrix.from_function(
+            4,
+            lambda i, j: closing
+            if {leaves[i - 1], leaves[j - 1]} == {p, q}
+            else m[(leaves[i - 1], leaves[j - 1])],
+        )
+        blocks.append((block, leaves))
+
+    def build(c: Fraction) -> Decomposition:
+        return Decomposition(
+            TREE,
+            tuple(tree_summand(embed_tree_block(block, leaves, 6, c)) for block, leaves in blocks),
+        )
+
+    return verified_padded(m, build, 1 + m.max_abs_entry())
 
 
-def _tree_peel_decomposition(m: DissimilarityMatrix, c: Fraction) -> Decomposition:
+def _tree_peel_decomposition(m: DissimilarityMatrix) -> Decomposition:
     """Reduce to the leading 6x6 block, one star summand per peeled index."""
     n = m.n
-    base = principal_submatrix(m, range(1, 7))
-    base_dec = verified_padded(
-        base, lambda cc: _tree6_decomposition(base, cc), 1 + base.max_abs_entry()
-    )
-    summands = []
-    for s in base_dec.summands:
-        if not isinstance(s.generator, WeightedTree):
-            raise CertificateError("the 6x6 matching split returned a summand without a tree")
-        tree = embed_tree_block(s.matrix, (1, 2, 3, 4, 5, 6), n, c)
-        summands.append(tree_summand(tree))
-    for i in range(7, n + 1):
-        vec = [c + m[(i, j)] if j != i else -c for j in range(1, n + 1)]
-        summands.append(star_summand(vec))
-    return Decomposition(TREE, tuple(summands))
+    base = _matching_split(principal_submatrix(m, range(1, 7)))
+    if not all(isinstance(s.generator, WeightedTree) for s in base.summands):
+        raise CertificateError("the 6x6 matching split returned a summand without a tree")
+
+    def build(c: Fraction) -> Decomposition:
+        summands = [
+            tree_summand(embed_tree_block(s.matrix, (1, 2, 3, 4, 5, 6), n, c))
+            for s in base.summands
+        ]
+        for i in range(7, n + 1):
+            summands.append(star_summand([c + m[(i, j)] if j != i else -c for j in range(1, n + 1)]))
+        return Decomposition(TREE, tuple(summands))
+
+    return verified_padded(m, build, 1 + m.max_abs_entry())
 
 
 def _upper_for_search(m: Matrix, notion: str) -> Decomposition:
@@ -327,6 +279,5 @@ def _upper_for_search(m: Matrix, notion: str) -> Decomposition:
     # Tree: stay independent of the small-case classifiers; star summands
     # are tree summands, and from n = 6 the matching split applies.
     if m.n <= 5:
-        return _tree_from_star(m)
-    build = _tree6_decomposition if m.n == 6 else _tree_peel_decomposition
-    return _sized(verified_padded(m, lambda c: build(m, c), 1 + m.max_abs_entry()), m.n)
+        return Decomposition(TREE, star_upper_decomposition(m).summands)
+    return _sized(_matching_split(m) if m.n == 6 else _tree_peel_decomposition(m), m.n)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from troprank.cli import main
 from troprank.core import DissimilarityMatrix, SymmetricMatrix, frac
 from troprank.generators import generate, max_tree_rank_table, random_matrix, tr6_matrix
 from troprank.matrixio import MatrixFormatError, parse_matrix, serialize_matrix
@@ -187,6 +188,21 @@ class TestCli:
         assert out.returncode == 2
         assert out.stderr.startswith("error: ")
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("command", ["rank", "verify", "dimension"])
+    def test_unreadable_path_is_a_usage_error(self, tmp_path, capsys, command):
+        # A directory where a file belongs raises IsADirectoryError, an
+        # OSError: exit 2, never 1 ("decomposition rejected") or a traceback.
+        mpath = tmp_path / "m.diss"
+        mpath.write_text(serialize_matrix(generate("min", 5)))
+        argv = {
+            "rank": ["rank", str(tmp_path), "--notion", "sym"],
+            "verify": ["verify", "--matrix", str(mpath), "--decomposition", str(tmp_path)],
+            "dimension": ["dimension", "--notion", "star", "--n", "3", "--grid", "--sample", "1",
+                          "--csv", str(tmp_path)],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_deficiency_json_and_dot(self, tmp_path):
         path = tmp_path / "c5.diss"

@@ -17,7 +17,9 @@ is an integer matrix, which cannot catch a wrong denominator.  The
 pins were recorded before leaf distances, tree insertion and the
 four-point test moved to integers; the `tree8-rational` pins, the only
 ones of the tree peel at n = 8, before the tree LP rows, the peel and
-`verify` did.
+`verify` did.  The construction pin, over the symmetric, star and tree
+upper bounds on seeded rational inputs, was recorded before each
+construction was cut to one copy with its padding-free part built once.
 """
 
 import ast
@@ -31,12 +33,13 @@ import pytest
 
 from troprank import compute_rank
 from troprank.cli import EXIT_INTERNAL, main
-from troprank.core import DissimilarityMatrix
+from troprank.core import DissimilarityMatrix, SymmetricMatrix
 from troprank.decomposition import NOTIONS, TREE, CertificateError, ConstructionError
 from troprank.generators import generate
 from troprank.matrixio import parse_matrix, serialize_matrix
-from troprank.rank import exact_rank
+from troprank.rank import exact_rank, tree_upper_decomposition
 from troprank.trees import WeightedTree, realize_tree
+from troprank.upper import _upper_for_search, star_upper_decomposition, symmetric_upper_decomposition
 
 from conftest import random_dissimilarity
 
@@ -528,6 +531,39 @@ def test_realize_tree_newick_is_pinned(seed):
     tree = realize_tree(m)
     assert tree.leaf_distance_matrix() == m
     assert hashlib.sha256(tree.to_newick().encode()).hexdigest()[:16] == NEWICK_PINS[seed]
+
+
+# sha256 of the JSON of every construction in `_constructions()`.
+CONSTRUCTION_PIN = "75d3d8171e5be6ab742c4c7f4269d0b80a8086c6676b24bae0fcbbdea9285761"
+
+
+def _constructions():
+    """Seeded inputs with entries of denominator 1, 2 or 3 that often tie:
+    the symmetric bound at n = 1..9 (finite rank, zero diagonal), and the
+    star bound, the search's tree bound and `tree_upper_decomposition` at
+    n = 3..9."""
+    rng = random.Random(14)
+
+    def entry(i, j):
+        return Fraction(rng.randint(0, 6), rng.choice((1, 2, 3)))
+
+    for n in range(1, 10):
+        for _ in range(20):
+            m = SymmetricMatrix.from_function(n, lambda i, j: 0 if i == j else entry(i, j))
+            yield symmetric_upper_decomposition(m)
+    for n in range(3, 10):
+        for _ in range(30):
+            d = DissimilarityMatrix.from_function(n, entry)
+            yield star_upper_decomposition(d)
+            yield _upper_for_search(d, TREE)
+            yield tree_upper_decomposition(d)
+
+
+def test_upper_constructions_are_pinned():
+    digest = hashlib.sha256()
+    for dec in _constructions():
+        digest.update(json.dumps(dec.to_json_dict()).encode())
+    assert digest.hexdigest() == CONSTRUCTION_PIN
 
 
 def test_library_matches_cli(tmp_path, capsys):

@@ -200,8 +200,8 @@ class TestTreeUpper:
 
         monkeypatch.setattr(
             upper_module,
-            "_tree6_decomposition",
-            lambda m, c: Decomposition(TREE, star_upper_decomposition(m).summands),
+            "_matching_split",
+            lambda m: Decomposition(TREE, star_upper_decomposition(m).summands),
         )
         with pytest.raises(CertificateError, match="without a tree"):
             tree_upper_decomposition(random_dissimilarity(rng, 7))
@@ -243,11 +243,12 @@ class TestExactRank:
             assert chi <= result.value
 
     def test_agrees_with_exhaustive_start(self, rng):
+        # Starting the search at χ skips nothing: no r below χ has a witness.
         for _ in range(10):
             m = random_dissimilarity(rng, 5)
-            default = exact_rank(m, TREE)
-            from_one = exact_rank(m, TREE, search_from_one=True)
-            assert default.value == from_one.value
+            h = build_deficiency(m, PLUECKER)
+            searcher = _AssignmentSearcher(m, TREE, h)
+            assert all(searcher.search(r) is None for r in range(1, chromatic_number(h)))
 
     def test_budget_interval(self):
         m = DissimilarityMatrix.from_function(5, lambda i, j: min(i, j))

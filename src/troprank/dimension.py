@@ -90,9 +90,11 @@ def sampled_local_dimension(notion: str, n: int, r: int, trials: int = 10, seed:
     raises DegenerateSampleError when every sample is unstable.
     """
     dimension_formula(notion, n, r)  # argument validation
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     best: Optional[int] = None
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         theta, candidates = _sample(notion, n, r, rng)
         rows = _locked_rows(theta, candidates)
         if rows is None:

@@ -65,7 +65,7 @@ def parse_matrix(text: str) -> Matrix:
                 continue
             try:
                 row.append(frac(cell))
-            except (ValueError, ZeroDivisionError, TypeError):
+            except (ValueError, TypeError):
                 raise MatrixFormatError(
                     f"bad entry {cell!r} at row {lineno}, column {colno}"
                 ) from None

@@ -22,16 +22,17 @@ everywhere else.  Slot feasibility is decided exactly:
   solved by negative-cycle detection;
 * tree slots: quartets first.  A quartet pairing that lies in the slot
   forces every pairing with a strictly larger sum to be the quartet's
-  split; two forced pairings of one quartet make the slot infeasible.
-  With no forced split a star witness is tried; otherwise exact linear
-  feasibility runs, in integers, over the unrooted binary topologies
-  showing every forced split.  Zero-weight internal edges cover the
-  degenerate shapes, so binary topologies suffice.  An AND of one bitmask
-  per forced (quartet, split code) picks the topologies to try.
+  split.  With no forced split a star witness is tried; otherwise exact
+  linear feasibility runs, in integers, over the unrooted binary
+  topologies showing every forced split.  Zero-weight internal edges
+  cover the degenerate shapes, so binary topologies suffice.  An AND of
+  one bitmask per forced (quartet, split code) picks the topologies to
+  try; two forced codes on one quartet leave no shape.
 
-Search slots must stay independent in the deficiency graph (a slot holding
-both ends of a deficiency edge is infeasible), which is also where the
-certified chromatic lower bound comes from.
+A slot is one bitmask over the search order, from the independence test
+to the LP split.  Search slots must stay independent in the deficiency
+graph (a slot holding both ends of a deficiency edge is infeasible), which
+is also where the certified chromatic lower bound comes from.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .decomposition import (  # noqa: F401  (the errors are re-exported)
 )
 from .deficiency import (
     DeficiencyHypergraph,
+    _bits,
     build_deficiency,
     optimal_coloring,
 )
@@ -300,6 +302,8 @@ def exact_rank(
     Intended scale: n <= 7.
     """
     check_space(m, notion)
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     front = _lower_bound(m, notion)
     if isinstance(front, RankResult):
         return front
@@ -343,7 +347,7 @@ def _lower_certificate(chi: int, value: int, searched_through: int) -> dict:
     }
 
 
-ClassWitness = tuple[str, object]  # ("vector", generator) or ("tree", WeightedTree)
+ClassWitness = Union[tuple[Fraction, ...], WeightedTree]  # a generator or a tree
 
 
 class _AssignmentSearcher:
@@ -353,7 +357,7 @@ class _AssignmentSearcher:
     checked for variety feasibility eagerly (rank-one and star slots,
     where the check is a cheap two-variable system) or at the leaves
     (tree slots: quartet pruning, then one integer LP per remaining
-    topology), with results cached by position set.
+    topology), with results cached by slot, a bitmask (bit t: order[t]).
     """
 
     def __init__(self, m: Matrix, notion: str, hypergraph: DeficiencyHypergraph):
@@ -367,7 +371,7 @@ class _AssignmentSearcher:
         self.order = sorted(positions, key=lambda p: (-len(adjacency[p]), p))
         self.index = {p: i for i, p in enumerate(self.order)}
         self.adj_mask = [sum(1 << self.index[q] for q in adjacency[p]) for p in self.order]
-        self.feasible_cache: dict[frozenset, Optional[ClassWitness]] = {}
+        self.feasible_cache: dict[int, Optional[ClassWitness]] = {}
         self.eager = notion in (SYM, STAR)
         # Slot checks work on the entries times `scale`, all integers; a
         # witness is divided by `scale` again.
@@ -388,82 +392,74 @@ class _AssignmentSearcher:
         return _pairing_sums(self.m.n, self.values, self.index)
 
     def search(self, r: int) -> Optional[list[ClassWitness]]:
-        order = self.order
+        size = len(self.order)
         masks = [0] * r
-        members: list[list[Position]] = [[] for _ in range(r)]
 
         def recurse(t: int, used: int) -> Optional[list[ClassWitness]]:
-            if t == len(order):
+            if t == size:
                 if used < r:
                     return None
                 witnesses = []
-                for cls in members:
-                    w = self._class_witness(frozenset(cls))
+                for slot in masks:
+                    w = self._class_witness(slot)
                     if w is None:
                         return None
                     witnesses.append(w)
                 return witnesses
-            p = order[t]
             bit = 1 << t
             limit = min(used + 1, r)
             for c in range(limit):
                 if masks[c] & self.adj_mask[t]:
                     continue
-                members[c].append(p)
-                if not self.eager or self._class_witness(frozenset(members[c])) is not None:
-                    masks[c] |= bit
+                masks[c] |= bit
+                if not self.eager or self._class_witness(masks[c]) is not None:
                     got = recurse(t + 1, max(used, c + 1))
                     if got is not None:
                         return got
-                    masks[c] &= ~bit
-                members[c].pop()
+                masks[c] &= ~bit
             return None
 
         return recurse(0, 0)
 
-    def _class_witness(self, cls: frozenset) -> Optional[ClassWitness]:
-        cached = self.feasible_cache.get(cls, "missing")
-        if cached != "missing":
-            return cached
-        if self.notion in (SYM, STAR):
-            witness = self._sum_witness(cls)
-        else:
-            witness = self._tree_witness(cls)
-        self.feasible_cache[cls] = witness
+    def _class_witness(self, slot: int) -> Optional[ClassWitness]:
+        if slot in self.feasible_cache:
+            return self.feasible_cache[slot]
+        witness = self._sum_witness(slot) if self.eager else self._tree_witness(slot)
+        self.feasible_cache[slot] = witness
         return witness
 
-    def _sum_witness(self, cls: frozenset) -> Optional[ClassWitness]:
+    def _sum_witness(self, slot: int) -> Optional[tuple[Fraction, ...]]:
         system = TwoVarSystem(self.m.n, self.dominance_edges)
-        for i, j in cls:
+        for t in _bits(slot):
+            i, j = self.order[t]
             system.add_sum_le(i - 1, j - 1, self.values[(i, j)])
         doubled = system.solve()
         if doubled is None:
             return None
-        return ("vector", tuple(Fraction(d, 2 * self.scale) for d in doubled))
+        return tuple(Fraction(d, 2 * self.scale) for d in doubled)
 
-    def _tree_witness(self, cls: frozenset) -> Optional[ClassWitness]:
-        forced = _forced_splits(self.pairing_sums, sum(1 << self.index[p] for p in cls))
-        if forced is None:
-            return None
+    def _tree_witness(self, slot: int) -> Optional[ClassWitness]:
+        forced = _forced_splits(self.pairing_sums, slot)
         if not forced:
             # A forced split needs one pairing sum above another, which a
             # star (all three sums equal) never has.
-            star = self._sum_witness(cls)
+            star = self._sum_witness(slot)
             if star is not None:
                 return star
         for topology in _candidate_topologies(self.m.n, forced):
-            point = self._solve_topology(topology, cls)
+            point = self._solve_topology(topology, slot)
             if point is not None:
-                return ("tree", point)
+                return point
         return None
 
-    def _solve_topology(self, topology: "_Topology", cls: frozenset) -> Optional[WeightedTree]:
+    def _solve_topology(self, topology: "_Topology", slot: int) -> Optional[WeightedTree]:
         n = self.m.n
         nvars = len(topology.edges)
         eqs = []
         ineqs = []
         for pos, path in zip(self.m.positions(), topology.paths):
-            (eqs if pos in cls else ineqs).append((_mask_row(path, nvars), self.values[pos]))
+            inside = slot >> self.index[pos] & 1
+            (eqs if inside else ineqs).append((_mask_row(path, nvars), self.values[pos]))
         for e, (u, _) in enumerate(topology.edges):
             if u > n:  # u < v, so both ends are internal: weight <= 0
                 ineqs.append((_mask_row(1 << e, nvars, -1), 0))
@@ -497,7 +493,7 @@ def _pairing_sums(n: int, values: dict[Position, int], index: dict[Position, int
     )
 
 
-def _forced_splits(pairing_sums: PairingSums, slot: int) -> Optional[list[tuple[int, int]]]:
+def _forced_splits(pairing_sums: PairingSums, slot: int) -> list[tuple[int, int]]:
     """(quartet, split code) pairs that every tree witness of a slot shows;
     `slot` is the bitmask of its positions, as in `pairing_sums`.
 
@@ -506,19 +502,15 @@ def _forced_splits(pairing_sums: PairingSums, slot: int) -> Optional[list[tuple[
     are <= 0).  A witness equals the target on a pairing A inside the slot
     and dominates it elsewhere, so a pairing with a strictly larger target
     sum than A has a larger witness sum than A and must be the split.
-    None when some quartet has two such pairings: no tree fits the slot.
+    When a quartet has two such pairings both codes are forced, and no
+    shape shows both.
     """
     forced = []
     for q, (masks, sums) in enumerate(pairing_sums):
         inside = [s for mask, s in zip(masks, sums) if slot & mask == mask]
-        if not inside:
-            continue
-        low = min(inside)
-        above = [code for code, s in enumerate(sums) if s > low]
-        if len(above) > 1:
-            return None
-        if above:
-            forced.append((q, above[0]))
+        if inside:
+            low = min(inside)
+            forced.extend((q, code) for code, s in enumerate(sums) if s > low)
     return forced
 
 
@@ -627,13 +619,6 @@ def _candidate_topologies(n: int, forced: Sequence[tuple[int, int]]):
 def _decomposition_from_witnesses(
     m: Matrix, notion: str, witnesses: Sequence[ClassWitness]
 ) -> Decomposition:
-    summands = []
-    for kind, payload in witnesses:
-        if kind == "vector":
-            if notion == SYM:
-                summands.append(rank1_summand(payload))
-            else:
-                summands.append(star_summand(payload))
-        else:
-            summands.append(tree_summand(payload))
+    vector = rank1_summand if notion == SYM else star_summand
+    summands = [tree_summand(w) if isinstance(w, WeightedTree) else vector(w) for w in witnesses]
     return Decomposition(notion, tuple(summands))

@@ -46,6 +46,10 @@ class TestExactScalars:
         with pytest.raises(TypeError):
             frac(0.5)
 
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            frac("1/0")
+
     def test_branch_length_rendering(self):
         assert format_decimal_or_ratio(frac("1/2")) == "0.5"
         assert format_decimal_or_ratio(frac("-3/4")) == "-0.75"

@@ -189,6 +189,34 @@ class TestCli:
         assert out.stderr.startswith("error: ")
         assert "Traceback" not in out.stderr
 
+    def test_verify_zero_denominator_is_a_usage_error(self, tmp_path, capsys):
+        # Exit 2, never 1 ("decomposition rejected") or a traceback.
+        mpath = tmp_path / "m.diss"
+        mpath.write_text(serialize_matrix(generate("min", 5)))
+        assert main(["decompose", str(mpath), "--notion", "tree"]) == 0
+        dec = json.loads(capsys.readouterr().out)
+        dec["summands"][0]["matrix"][0][1] = "1/0"
+        dpath = tmp_path / "dec.json"
+        dpath.write_text(json.dumps(dec))
+        assert main(["verify", "--matrix", str(mpath), "--decomposition", str(dpath)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dimension", "--notion", "sym", "--n", "3", "--r", "1", "--sample", "0"],
+            ["dimension", "--notion", "sym", "--n", "3", "--r", "1", "--sample", "-5"],
+            ["rank", "MATRIX", "--notion", "tree", "--method", "exact", "--budget", "-3"],
+        ],
+        ids=["sample-0", "sample-negative", "budget-negative"],
+    )
+    def test_nonsensical_counts_are_usage_errors(self, tmp_path, capsys, argv):
+        # A ValueError from the library, not a clamp or an empty search.
+        mpath = tmp_path / "m.diss"
+        mpath.write_text(serialize_matrix(generate("min", 5)))
+        assert main([str(mpath) if a == "MATRIX" else a for a in argv]) == 2
+        assert capsys.readouterr().err.startswith(("error: trials", "error: budget"))
+
     @pytest.mark.parametrize("command", ["rank", "verify", "dimension"])
     def test_unreadable_path_is_a_usage_error(self, tmp_path, capsys, command):
         # A directory where a file belongs raises IsADirectoryError, an

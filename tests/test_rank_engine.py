@@ -565,8 +565,6 @@ class TestQuartetPruning:
             for size in range(2, 2 * n):
                 slot = sum(1 << index[p] for p in rng.sample(m.positions(), size))
                 forced = _forced_splits(_pairing_sums(n, values, index), slot)
-                if forced is None:
-                    continue
                 scan = [t for t in topologies if all(t.splits[q] == c for q, c in forced)]
                 assert list(_candidate_topologies(n, forced)) == scan
                 seen.add("none" if not scan else "some" if forced else "all")
@@ -586,18 +584,45 @@ class TestQuartetPruning:
                 cls = frozenset(rng.sample(m.positions(), rng.randint(2, n + 1)))
                 slot = sum(1 << searcher.index[p] for p in cls)
                 forced = _forced_splits(searcher.pairing_sums, slot)
-                trees = [searcher._solve_topology(t, cls) for t in topologies]
+                trees = [searcher._solve_topology(t, slot) for t in topologies]
                 for topology, tree in zip(topologies, trees):
-                    if forced is None or any(topology.splits[q] != c for q, c in forced):
+                    if any(topology.splits[q] != c for q, c in forced):
                         assert tree is None
                         rejected += 1
                 # Filter-then-LP finds the witness an LP over every topology finds.
-                unpruned = searcher._sum_witness(cls) or next(
-                    (("tree", t) for t in trees if t is not None), None
+                unpruned = searcher._sum_witness(slot) or next(
+                    (t for t in trees if t is not None), None
                 )
-                assert searcher._tree_witness(cls) == unpruned
+                assert searcher._tree_witness(slot) == unpruned
                 forced_witnesses += bool(forced) and unpruned is not None
         assert rejected > 100 and forced_witnesses > 0
+
+    def test_the_search_never_forces_two_codes_on_one_quartet(self, monkeypatch):
+        # A pairing with a sum strictly below its quartet's two others is a
+        # deficiency edge, so the search never puts both of its positions
+        # into one slot, and at most one code per quartet is forced.
+        import troprank.rank as rank_module
+
+        forced_splits = rank_module._forced_splits
+        results = []
+
+        def recording(pairing_sums, slot):
+            results.append(forced_splits(pairing_sums, slot))
+            return results[-1]
+
+        monkeypatch.setattr(rank_module, "_forced_splits", recording)
+        rng = random.Random(15)
+        for n, count in ((5, 40), (6, 20), (7, 10)):
+            for _ in range(count):
+                m = DissimilarityMatrix.from_function(
+                    n, lambda i, j: Fraction(rng.randint(0, 6), rng.choice((1, 2, 3)))
+                )
+                exact_rank(m, TREE)
+        for forced in results:
+            assert isinstance(forced, list)
+            quartets_seen = [q for q, _ in forced]
+            assert len(set(quartets_seen)) == len(quartets_seen)
+        assert len(results) >= 50
 
 
 class TestUpperSize:

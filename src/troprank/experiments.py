@@ -48,6 +48,8 @@ def rank7_search(trials: int, seed: int):
     Returns (candidates, best_bound_seen).  The tree rank of a candidate
     would be at least its chromatic bound; none is asserted here.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     best = 0
     candidates = []
@@ -92,6 +94,8 @@ def submatrix_conjecture(trials: int, seed: int) -> SubmatrixConjectureReport:
     A counterexample would be a matrix whose submatrices all have rank at
     most 2 while the matrix itself does not.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     le2 = agree = counter = 0
     for _ in range(trials):

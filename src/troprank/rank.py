@@ -2,12 +2,11 @@
 bound that needs the 5x5 classifier.
 
 Layers, bottom up: `upper` builds the constructive upper bounds;
-`small_cases` (3x3 and 5x5 closed forms) and `covers` (0/1 cover
+`small_cases` (3x3 and 5x5 classifiers) and `covers` (0/1 cover
 formulas) build on it; this module sits on top.  `compute_rank` is the
 one entry point with a method choice:
 
-* ``auto``: a closed form (3x3 symmetric, 5x5 star tree and tree), else
-  the cover formula for a 0/1 matrix, else `exact_rank`;
+* ``auto``: the cover formula for a 0/1 matrix, else `exact_rank`;
 * ``exact``: `exact_rank`, always;
 * ``bounds``: the chromatic lower bound and the constructive upper bound,
   with no search.
@@ -72,7 +71,7 @@ from .deficiency import (
 )
 from .exactlp import TwoVarSystem, solve_linear_feasibility
 from .membership import PLUECKER, STAR_TREE, SYMMETRIC_MINORS
-from .small_cases import star5_rank2_decompose, star5_rank2_test, sym3_rank, tree5_rank
+from .small_cases import tree5_rank
 from .trees import WeightedTree
 from .upper import (  # noqa: F401  (re-exported)
     _upper_for_search,
@@ -102,7 +101,7 @@ def tree_upper_decomposition(m: DissimilarityMatrix) -> Decomposition:
     """Tree decompositions within the known worst-case sizes per n.
 
     One summand whenever the four-point condition already holds (n != 6);
-    n = 5: the closed form's certificate (two trees, or three stars);
+    n = 5: the classifier's certificate (two trees, or three stars);
     otherwise the search's upper bound: the star construction for n = 4,
     the three-block matching split for n = 6 (always), and the peel to
     the leading 6x6 block for n >= 7.
@@ -185,20 +184,24 @@ def compute_rank(
     """The rank of m under `notion` ("sym", "star" or "tree"), certified.
 
     `method` is "auto", "exact" or "bounds" (see the module docstring).
-    `budget` is the largest rank the search tries; past it the answer is
-    an interval.  The closed forms and cover formulas ignore it.
+    `budget` (at least 0 on every route) is the largest rank the search
+    tries; past it the answer is an interval.  The cover formulas and
+    `bounds` run no search, so they ignore it.
     """
     check_space(m, notion)
-    if method == "exact":
-        return exact_rank(m, notion, budget)
+    _check_budget(budget)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "bounds":
         return _bounds_rank(m, notion)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    result = _closed_form_rank(m, notion)
-    if result is None:
-        result = exact_rank(m, notion, budget)
-    return result
+    if method == "auto" and all(v in (0, 1) for _, v in m.items()):
+        return _zero_one_rank(m, notion)
+    return exact_rank(m, notion, budget)
+
+
+def _check_budget(budget: Optional[int]) -> None:
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
 
 
 def check_space(m: Matrix, notion: str) -> None:
@@ -208,34 +211,6 @@ def check_space(m: Matrix, notion: str) -> None:
         raise TypeError("symmetric rank applies to symmetric matrices")
     if notion in (STAR, TREE) and not isinstance(m, DissimilarityMatrix):
         raise TypeError(f"{notion} rank applies to dissimilarity matrices")
-
-
-def _closed_form_rank(m: Matrix, notion: str) -> Optional[RankResult]:
-    """The closed forms for n = 3 (sym) and n = 5 (star, tree), then the
-    0/1 cover formulas; None when neither applies."""
-    closed = {"type": "closed-form"}
-    if notion == SYM and m.n == 3:
-        outcome = sym3_rank(m)
-        if outcome.value == INFINITE:
-            return _infinite_result(notion, outcome.infinite_witness)
-        chi = _chromatic(m, notion)[1]
-        return _finite_result(notion, outcome.value, chi, outcome.decomposition, closed)
-    if notion == STAR and m.n == 5:
-        chi = _chromatic(m, notion)[1]
-        dec = one_summand(m, STAR)
-        if dec is not None:
-            return _finite_result(notion, 1, chi, dec, closed)
-        ok, witness = star5_rank2_test(m)
-        if ok:
-            return _finite_result(notion, 2, chi, star5_rank2_decompose(m, witness), closed)
-        return _finite_result(notion, 3, chi, star_upper_decomposition(m), closed)
-    if notion == TREE and m.n == 5:
-        outcome = tree5_rank(m)
-        chi = _chromatic(m, notion)[1]
-        return _finite_result(notion, outcome.value, chi, outcome.decomposition, closed)
-    if all(v in (0, 1) for _, v in m.items()):
-        return _zero_one_rank(m, notion)
-    return None
 
 
 def _zero_one_rank(m: Matrix, notion: str) -> RankResult:
@@ -302,8 +277,7 @@ def exact_rank(
     Intended scale: n <= 7.
     """
     check_space(m, notion)
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be at least 0, got {budget}")
+    _check_budget(budget)
     front = _lower_bound(m, notion)
     if isinstance(front, RankResult):
         return front

@@ -1,6 +1,7 @@
 """Matrix file format and the command-line interface."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ from troprank.core import DissimilarityMatrix, SymmetricMatrix, frac
 from troprank.generators import generate, max_tree_rank_table, random_matrix, tr6_matrix
 from troprank.matrixio import MatrixFormatError, parse_matrix, serialize_matrix
 
-from conftest import random_dissimilarity, random_symmetric
+from conftest import random_dissimilarity, random_finite_symmetric, random_symmetric
 
 
 def run_cli(*args, stdin=None):
@@ -207,15 +208,28 @@ class TestCli:
             ["dimension", "--notion", "sym", "--n", "3", "--r", "1", "--sample", "0"],
             ["dimension", "--notion", "sym", "--n", "3", "--r", "1", "--sample", "-5"],
             ["rank", "MATRIX", "--notion", "tree", "--method", "exact", "--budget", "-3"],
+            ["rank", "MATRIX", "--notion", "tree", "--method", "bounds", "--budget", "-3"],
+            ["rank", "MATRIX01", "--notion", "tree", "--budget", "-3"],
+            ["experiment", "rank7-search", "--trials", "0"],
+            ["experiment", "rank7-search", "--trials", "-5"],
+            ["experiment", "submatrix-conjecture", "--trials", "0"],
+            ["experiment", "submatrix-conjecture", "--trials", "-5"],
         ],
-        ids=["sample-0", "sample-negative", "budget-negative"],
+        ids=[
+            "sample-0", "sample-negative", "budget-negative", "budget-negative-bounds",
+            "budget-negative-covers", "rank7-trials-0", "rank7-trials-negative",
+            "submatrix-trials-0", "submatrix-trials-negative",
+        ],
     )
     def test_nonsensical_counts_are_usage_errors(self, tmp_path, capsys, argv):
-        # A ValueError from the library, not a clamp or an empty search.
-        mpath = tmp_path / "m.diss"
-        mpath.write_text(serialize_matrix(generate("min", 5)))
-        assert main([str(mpath) if a == "MATRIX" else a for a in argv]) == 2
-        assert capsys.readouterr().err.startswith(("error: trials", "error: budget"))
+        # A ValueError from the library on every route, not a clamp, an
+        # empty search or a route that ignores the count.
+        paths = {"MATRIX": tmp_path / "m.diss", "MATRIX01": tmp_path / "c5.diss"}
+        paths["MATRIX"].write_text(serialize_matrix(generate("min", 5)))
+        paths["MATRIX01"].write_text(serialize_matrix(generate("cycle", 5)))
+        assert main([str(paths[a]) if a in paths else a for a in argv]) == 2
+        count = "budget must be at least 0" if "--budget" in argv else "trials must be at least 1"
+        assert capsys.readouterr().err == f"error: {count}, got {argv[-1]}\n"
 
     @pytest.mark.parametrize("command", ["rank", "verify", "dimension"])
     def test_unreadable_path_is_a_usage_error(self, tmp_path, capsys, command):
@@ -278,9 +292,9 @@ class TestCli:
 
 
 class TestAutoExactAgreement:
-    def test_zero_one_and_closed_form_paths(self, tmp_path, rng):
-        # auto dispatches to closed forms and cover formulas; both must
-        # agree with the exact solver wherever the solver applies.
+    def test_zero_one_paths(self, tmp_path, rng):
+        # auto answers a 0/1 matrix by its cover formula, which must agree
+        # with the exact solver wherever the solver applies.
         for seed in range(6):
             for kind, notion, n in (
                 ("dissimilarity", "star", 4),
@@ -298,6 +312,31 @@ class TestAutoExactAgreement:
                     run_cli("rank", str(path), "--notion", notion, "--method", "exact").stdout
                 )
                 assert auto["rank"] == exact["rank"], (kind, notion, seed)
+
+    def test_other_inputs_print_the_same_bytes(self, tmp_path, capsys):
+        # Off the 0/1 cover route, auto is the search: the same exit code
+        # and the same stdout byte for byte, on the sizes the paper's 3x3
+        # and 5x5 classifiers cover.
+        ranks = set()
+        for seed in range(24):
+            rng = random.Random(seed)
+            cases = [
+                (random_finite_symmetric(rng, 3, 0, 4), "sym"),
+                (random_symmetric(rng, 3, 0, 4), "sym"),
+            ]
+            d = random_dissimilarity(rng, 5, 0, 4)
+            cases += [(d, "star"), (d, "tree")]
+            for m, notion in cases:
+                assert any(v not in (0, 1) for _, v in m.items())
+                path = tmp_path / f"m{seed}.txt"
+                path.write_text(serialize_matrix(m))
+                runs = []
+                for method in ("auto", "exact"):
+                    code = main(["rank", str(path), "--notion", notion, "--method", method])
+                    runs.append((code, capsys.readouterr().out))
+                assert runs[0] == runs[1], (seed, notion)
+                ranks.add((notion, json.loads(runs[0][1])["rank"]))
+        assert {("sym", "infinity"), ("star", 3), ("tree", 2), ("tree", 3)} <= ranks, ranks
 
     def test_bounds_method_reports_interval_or_value(self, tmp_path):
         path = tmp_path / "m.diss"

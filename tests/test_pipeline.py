@@ -20,6 +20,9 @@ ones of the tree peel at n = 8, before the tree LP rows, the peel and
 `verify` did.  The construction pin, over the symmetric, star and tree
 upper bounds on seeded rational inputs, was recorded before each
 construction was cut to one copy with its padding-free part built once.
+The `auto` pins of the non-0/1 3x3 symmetric and 5x5 inputs were recorded
+when `auto` stopped answering them by the closed forms; each equals its
+`exact` twin.
 """
 
 import ast
@@ -45,7 +48,8 @@ from conftest import random_dissimilarity
 
 _ = None  # a dissimilarity diagonal
 
-# Each input names the route `auto` takes for it.
+# Each input names the case it covers: the size and rank of the paper's 3x3
+# and 5x5 classifiers, a 0/1 cover formula, or a larger search.
 MATRICES = {
     "sym3-rank1": [[0, 1, 2], [1, 2, 3], [2, 3, 4]],
     "sym3-rank2": [[2, 4, 3], [4, 1, 2], [3, 2, 3]],
@@ -92,8 +96,8 @@ MATRICES = {
         [0, 2, 3, _, 2, 1, 2], [1, 3, 0, 2, _, 0, 1], [1, 1, 0, 1, 0, _, 3],
         [1, 3, 2, 2, 1, 3, _],
     ],
-    # Entry denominators 1, 2 and 3 (scale 6): `exact` emits a search
-    # witness (rank below `upper_size`), `auto` a closed-form certificate.
+    # Entry denominators 1, 2 and 3 (scale 6): `auto` and `exact` emit a
+    # search witness (rank below `upper_size`).
     "sym5-rational": [
         [0, 1, 1, 4, "7/3"], [1, 0, 4, 1, "1/2"], [1, 4, 2, 3, 4],
         [4, 1, 3, 2, 2], ["7/3", "1/2", 4, 2, "1/3"],
@@ -148,13 +152,13 @@ NOTIONS_OF = {
 
 # (input, notion, extra arguments) -> (exit code, "rank" field, stdout sha256[:16])
 PINS = {
-    'sym3-rank1 sym auto': (0, 1, '7a5a94aa10208a9b'),
+    'sym3-rank1 sym auto': (0, 1, '2f5181daa1cd9440'),
     'sym3-rank1 sym exact': (0, 1, '2f5181daa1cd9440'),
     'sym3-rank1 sym bounds': (0, 1, 'b2ed9e77cf16cd76'),
-    'sym3-rank2 sym auto': (0, 2, 'd36cc8c81344cc1d'),
+    'sym3-rank2 sym auto': (0, 2, 'f64f55e75226cfc6'),
     'sym3-rank2 sym exact': (0, 2, 'f64f55e75226cfc6'),
     'sym3-rank2 sym bounds': (3, None, '5953b58f96a591d8'),
-    'sym3-rank3 sym auto': (0, 3, '80583b9ab8b7e4ac'),
+    'sym3-rank3 sym auto': (0, 3, '93b385d5eea1201f'),
     'sym3-rank3 sym exact': (0, 3, '93b385d5eea1201f'),
     'sym3-rank3 sym bounds': (0, 3, 'a7a8a146882e7f6c'),
     'sym3-infinite sym auto': (4, 'infinity', 'ca413b18e5318ab6'),
@@ -175,16 +179,16 @@ PINS = {
     'star6-rational tree auto': (0, 3, '0c713fd6d351a52c'),
     'star6-rational tree exact': (0, 3, '0c713fd6d351a52c'),
     'star6-rational tree bounds': (0, 3, '36f4d1f397a96daf'),
-    'star5-rational star auto': (0, 2, 'db86c1d52d605845'),
+    'star5-rational star auto': (0, 2, '116f95bedb0691c3'),
     'star5-rational star exact': (0, 2, '116f95bedb0691c3'),
     'star5-rational star bounds': (3, None, '341c4e005ebf8930'),
-    'star5-rational tree auto': (0, 2, '8acf86dc2b1f318a'),
+    'star5-rational tree auto': (0, 2, '9067641354fe3b09'),
     'star5-rational tree exact': (0, 2, '9067641354fe3b09'),
     'star5-rational tree bounds': (3, None, '8d31239a759d2693'),
-    'tree5-rational tree auto': (0, 2, '2e20df532d00514c'),
+    'tree5-rational tree auto': (0, 2, '9371342a170bb02b'),
     'tree5-rational tree exact': (0, 2, '9371342a170bb02b'),
     'tree5-rational tree bounds': (3, None, '85d8c776a6114c55'),
-    'tree5-rational star auto': (0, 3, 'da21e7e35563f9ff'),
+    'tree5-rational star auto': (0, 3, '7fe6e3cc463da500'),
     'tree5-rational star exact': (0, 3, '7fe6e3cc463da500'),
     'tree5-rational star bounds': (0, 3, '4fe1762c6b7bde8d'),
     'tree6-rational tree auto': (0, 2, '7cdaf98af91ecf3a'),
@@ -205,40 +209,40 @@ PINS = {
     'tree8-rational star auto': (0, 6, '977823bb55282ab5'),
     'tree8-rational star exact': (0, 6, '977823bb55282ab5'),
     'tree8-rational star bounds': (0, 6, 'fad2a6fee6ad388d'),
-    'star5-rank1 star auto': (0, 1, 'ddd3bff25135283c'),
+    'star5-rank1 star auto': (0, 1, 'cc27f3baca720db4'),
     'star5-rank1 star exact': (0, 1, 'cc27f3baca720db4'),
     'star5-rank1 star bounds': (0, 1, 'd18a94d064bb8dda'),
-    'star5-rank1 tree auto': (0, 1, '8a1084f193e47989'),
+    'star5-rank1 tree auto': (0, 1, '196da7cf2c82f214'),
     'star5-rank1 tree exact': (0, 1, '196da7cf2c82f214'),
     'star5-rank1 tree bounds': (0, 1, '65bc7187a9ade918'),
-    'star5-rank2 star auto': (0, 2, '704cdfd085b53471'),
+    'star5-rank2 star auto': (0, 2, 'fbf26ec10eadb5a9'),
     'star5-rank2 star exact': (0, 2, 'fbf26ec10eadb5a9'),
     'star5-rank2 star bounds': (3, None, '98d1a6a2eeee98d4'),
-    'star5-rank2 tree auto': (0, 2, '249127b745ee1563'),
+    'star5-rank2 tree auto': (0, 2, 'f836a5f91ae9c04e'),
     'star5-rank2 tree exact': (0, 2, 'f836a5f91ae9c04e'),
     'star5-rank2 tree bounds': (3, None, '2c874d4f8ae1bc45'),
-    'star5-rank3 star auto': (0, 3, '26c1db1f28c6687b'),
+    'star5-rank3 star auto': (0, 3, '419418ba5b02a1c1'),
     'star5-rank3 star exact': (0, 3, '419418ba5b02a1c1'),
     'star5-rank3 star bounds': (0, 3, 'ee2f9c7ec3d7bc52'),
-    'star5-rank3 tree auto': (0, 2, '2798c6313458637d'),
+    'star5-rank3 tree auto': (0, 2, '562b4656e343d651'),
     'star5-rank3 tree exact': (0, 2, '562b4656e343d651'),
     'star5-rank3 tree bounds': (3, None, '5932d7c7f0389277'),
-    'tree5-rank1 tree auto': (0, 1, 'c87749609fb3dde6'),
+    'tree5-rank1 tree auto': (0, 1, 'b9e2eefc11e18114'),
     'tree5-rank1 tree exact': (0, 1, 'b9e2eefc11e18114'),
     'tree5-rank1 tree bounds': (0, 1, '61345a948fd53813'),
-    'tree5-rank1 star auto': (0, 3, '83594c54f3981309'),
+    'tree5-rank1 star auto': (0, 3, 'a0ea93c8c3ddb886'),
     'tree5-rank1 star exact': (0, 3, 'a0ea93c8c3ddb886'),
     'tree5-rank1 star bounds': (0, 3, '10a97ab384aca73f'),
-    'tree5-rank2 tree auto': (0, 2, '0babe0241e31f068'),
+    'tree5-rank2 tree auto': (0, 2, 'b1393e67a6197ada'),
     'tree5-rank2 tree exact': (0, 2, 'b1393e67a6197ada'),
     'tree5-rank2 tree bounds': (3, None, '10a8d60715a080d5'),
-    'tree5-rank2 star auto': (0, 3, 'c7677ea1320a384a'),
+    'tree5-rank2 star auto': (0, 3, 'a55f256f2a4322be'),
     'tree5-rank2 star exact': (0, 3, 'a55f256f2a4322be'),
     'tree5-rank2 star bounds': (0, 3, '357ae7f83c6adc52'),
-    'tree5-rank3 tree auto': (0, 3, '69aa00c18783624f'),
+    'tree5-rank3 tree auto': (0, 3, '990323a2a2285397'),
     'tree5-rank3 tree exact': (0, 3, '990323a2a2285397'),
     'tree5-rank3 tree bounds': (0, 3, 'ce5e2b205d44e39f'),
-    'tree5-rank3 star auto': (0, 3, '82ff20fed0cdafca'),
+    'tree5-rank3 star auto': (0, 3, '2686e5f07a6995cd'),
     'tree5-rank3 star exact': (0, 3, '2686e5f07a6995cd'),
     'tree5-rank3 star bounds': (0, 3, 'f70db11581d1da2a'),
     'sym01 sym auto': (0, 4, 'bc4db2ba0d21d442'),

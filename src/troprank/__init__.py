@@ -54,7 +54,6 @@ from .small_cases import (
     star5_rank2_test,
     sym3_rank,
     tree5_rank,
-    tree5_rank2_decompose,
 )
 from .trees import WeightedTree, extend_tree, realize_tree
 
@@ -101,7 +100,6 @@ __all__ = [
     "symmetric_rank_finite",
     "symmetric_upper_decomposition",
     "tree5_rank",
-    "tree5_rank2_decompose",
     "tree_upper_decomposition",
     "trop_sum",
     "trop_sum_all",

@@ -146,6 +146,8 @@ def cmd_dimension(args) -> int:
         return EXIT_OK
     if args.r is None:
         raise MatrixFormatError("--r is required without --grid")
+    if args.csv:
+        raise MatrixFormatError("--csv writes the grid; it needs --grid")
     report = dimension_report(notion, args.n, args.r, args.sample, args.seed)
     _emit(report.to_json_dict())
     return EXIT_OK

@@ -139,10 +139,10 @@ def verify_matrices(m: Matrix, matrices: Sequence[Matrix], notion: str) -> Verif
     for its shape, then its membership, and then the sum position by
     position.
     """
-    if not isinstance(m, space_for(notion)):
-        return VerificationReport(False, "matrix lives in the wrong space")
     if notion not in NOTIONS:
         raise ValueError(f"unknown rank notion {notion!r}; expected one of {NOTIONS}")
+    if not isinstance(m, space_for(notion)):
+        return VerificationReport(False, "matrix lives in the wrong space")
     if not matrices:
         return VerificationReport(False, "empty decomposition")
     shaped = next(

@@ -22,14 +22,15 @@ generator or None.  The three-term relations are a tropical basis of the
 tree space trop Gr(2,n) (Speyer-Sturmfels), so the tree kernel
 (`trees.four_point_violation`) is the hypersurface test on the Pluecker
 table: the deficiency builder's `core.unique_minima`, stopped at the first
-relation with a unique minimum.
+relation with a unique minimum.  `finiteness_violation` is the test for
+finite symmetric rank.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .core import (
     DissimilarityMatrix,
@@ -103,6 +104,15 @@ def is_rank1_symmetric(m: SymmetricMatrix) -> bool:
     return rank_one_doubled(m.n, m.scaled_to_integers()[1]) is not None
 
 
+def finiteness_violation(m: SymmetricMatrix) -> Optional[Position]:
+    """A pair with M_ii + M_jj > 2 M_ij, which forces infinite rank."""
+    for i in range(1, m.n + 1):
+        for j in range(i + 1, m.n + 1):
+            if m[(i, i)] + m[(j, j)] > 2 * m[(i, j)]:
+                return (i, j)
+    return None
+
+
 def is_star_tree(m: DissimilarityMatrix) -> bool:
     """True when all three pairings agree on every quadruple (n=3: always)."""
     return star_doubled(m.n, m.scaled_to_integers()[1]) is not None
@@ -154,6 +164,7 @@ __all__ = [
     "STAR_TREE",
     "SYMMETRIC_MINORS",
     "basis_for",
+    "finiteness_violation",
     "is_rank1_symmetric",
     "is_star_tree",
     "is_tree_matrix",

@@ -1,10 +1,10 @@
 """Rank computation: method dispatch, the exact solver, and the tree upper
-bound that needs the 5x5 classifier.
+bound of `decompose`.
 
-Layers, bottom up: `upper` builds the constructive upper bounds;
-`small_cases` (3x3 and 5x5 classifiers) and `covers` (0/1 cover
-formulas) build on it; this module sits on top.  `compute_rank` is the
-one entry point with a method choice:
+Layers, bottom up: `upper` builds the constructive upper bounds; `covers`
+(0/1 cover formulas) builds on it; this module sits on top.  Each answer
+comes from one source: the search, the cover formulas or `upper`.
+`compute_rank` is the one entry point with a method choice:
 
 * ``auto``: the cover formula for a 0/1 matrix, else `exact_rank`;
 * ``exact``: `exact_rank`, always;
@@ -71,7 +71,6 @@ from .deficiency import (
 )
 from .exactlp import TwoVarSystem, solve_linear_feasibility
 from .membership import PLUECKER, STAR_TREE, SYMMETRIC_MINORS
-from .small_cases import tree5_rank
 from .trees import WeightedTree
 from .upper import (  # noqa: F401  (re-exported)
     _upper_for_search,
@@ -101,7 +100,7 @@ def tree_upper_decomposition(m: DissimilarityMatrix) -> Decomposition:
     """Tree decompositions within the known worst-case sizes per n.
 
     One summand whenever the four-point condition already holds (n != 6);
-    n = 5: the classifier's certificate (two trees, or three stars);
+    n = 5: the search's minimal decomposition (at most three trees);
     otherwise the search's upper bound: the star construction for n = 4,
     the three-block matching split for n = 6 (always), and the peel to
     the leading 6x6 block for n >= 7.
@@ -110,7 +109,7 @@ def tree_upper_decomposition(m: DissimilarityMatrix) -> Decomposition:
     if one is not None:
         return one
     if m.n == 5:
-        return tree5_rank(m).decomposition
+        return exact_rank(m, TREE).decomposition
     return _upper_for_search(m, TREE)
 
 

@@ -1,19 +1,23 @@
-"""Closed-form rank classifiers for 3x3 symmetric and 5x5 dissimilarity
-matrices, with explicit two-term decompositions as certificates.
+"""The paper's rank classifiers for 3x3 symmetric and 5x5 dissimilarity
+matrices, as rank values with their combinatorial certificates.
 
-The 5x5 star tree classifier rests on the 12-term degree-5 polynomial
-whose terms are the pentagons (5-cycles) on five labels; the 5x5 tree
-classifier on its 22-term extension that also carries the ten triangle
-terms x_ab x_bc x_ca x_de^2.  In both cases the matrix has rank 2 exactly
-when the minimum lands on a suitably-shaped term, and a relabeling search
-(120 permutations at most) replaces the "without loss of generality"
-normalizations.
+A 3x3 symmetric matrix has finite rank when the finiteness inequalities
+hold, rank 1 when its 2x2 minors vanish, and rank <= 2 exactly when it is
+tropically singular.  The 5x5 star tree classifier rests on the 12-term
+degree-5 polynomial whose terms are the pentagons (5-cycles) on five
+labels; the 5x5 tree classifier on its 22-term extension that also carries
+the ten triangle terms x_ab x_bc x_ca x_de^2.  In both cases the matrix
+has rank 2 exactly when the minimum lands on a suitably-shaped term, and a
+relabeling search (120 permutations at most) replaces the "without loss
+of generality" normalizations.  Tree rank 3 comes with a 5-cycle
+deficiency graph.  No rank route calls these: the tests check them
+against the search.
 
 The terms are module-level tables (`PENTAGONS`, `TRIANGLES`), each term a
 tuple of sorted positions with a squared entry listed twice.  Minimizers
 and the relabeled inequalities are decided in integer sums on
-`scaled_to_integers()`, which keeps every tie; only the certificates are
-built in Fraction.
+`scaled_to_integers()`, which keeps every tie; only the two-star witness
+of `star5_rank2_decompose` is built in Fraction.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ from .core import (
     SymmetricMatrix,
     _pad_value,
     apply_permutation,
-    pad_generator,
-    principal_submatrix,
     relabel_positions,
     sorted_pair,
     star_generator,
@@ -41,23 +43,17 @@ from .decomposition import (
     CertificateError,
     Decomposition,
     STAR,
-    SYM,
-    TREE,
     certify,
-    rank1_summand,
     star_summand,
-    tree_summand,
     verified_padded,
 )
-from .membership import is_star_tree, is_tree_matrix, is_tropically_singular_3x3
 from .deficiency import FIVE_CYCLE, classify_petersen
-from .trees import embed_tree_block, realize_tree
-from .upper import (
+from .membership import (
     finiteness_violation,
-    normalize_diagonal,
-    one_summand,
-    star_upper_decomposition,
-    symmetric_upper_decomposition,
+    is_rank1_symmetric,
+    is_star_tree,
+    is_tree_matrix,
+    is_tropically_singular_3x3,
 )
 
 Term = tuple[Position, ...]  # a product of entries, as its sorted positions
@@ -90,11 +86,6 @@ def _triangles() -> tuple[Term, ...]:
 TRIANGLES: tuple[Term, ...] = _triangles()
 
 
-def _triangle_minimizers(values: dict[Position, int]) -> list[Term]:
-    """Triangle terms attaining the minimum of the 22-term polynomial."""
-    return [t for t in term_minimizers(PENTAGONS + TRIANGLES, values) if t in TRIANGLES]
-
-
 def _relabeled(values: dict[Position, int], perm: Sequence[int]) -> dict[Position, int]:
     """`apply_permutation` on an integer table: {i, j} moves to {perm i, perm j}."""
     return {sorted_pair(perm[i - 1], perm[j - 1]): v for (i, j), v in values.items()}
@@ -106,7 +97,6 @@ def _relabeled(values: dict[Position, int], perm: Sequence[int]) -> dict[Positio
 @dataclass(frozen=True)
 class Sym3Result:
     value: object  # 1, 2, 3 or math.inf
-    decomposition: Optional[Decomposition]
     infinite_witness: Optional[Position] = None
 
 
@@ -114,48 +104,16 @@ def sym3_rank(m: SymmetricMatrix) -> Sym3Result:
     """Rank of a 3x3 symmetric matrix: infinite, or 1, 2, 3 exactly.
 
     Rank <= 2 is equivalent to tropical singularity together with the
-    finiteness inequalities; the two-term witness pins a zero off-diagonal
-    entry of the diagonal-normalized matrix.
+    finiteness inequalities.
     """
     if m.n != 3:
         raise ValueError("this classifier handles n = 3 only")
     violation = finiteness_violation(m)
     if violation is not None:
-        return Sym3Result(INFINITE, None, violation)
-    dec = one_summand(m, SYM)
-    if dec is not None:
-        return Sym3Result(1, dec)
-    if is_tropically_singular_3x3(m):
-        return Sym3Result(2, _sym3_two_term(m))
-    return Sym3Result(3, symmetric_upper_decomposition(m))
-
-
-def _sym3_two_term(m: SymmetricMatrix) -> Decomposition:
-    normalized, offsets = normalize_diagonal(m)
-    pair = next(
-        (
-            (i, j)
-            for i, j in itertools.combinations((1, 2, 3), 2)
-            if normalized[(i, j)] == 0
-        ),
-        None,
-    )
-    if pair is None:
-        raise CertificateError("the singular normalized matrix has no zero off-diagonal entry")
-    k = next(v for v in (1, 2, 3) if v not in pair)
-    i, j = pair
-    second = [Fraction(0)] * 3
-    second[i - 1] = normalized[(i, k)]
-    second[j - 1] = normalized[(j, k)]
-
-    def build(c: Fraction) -> Decomposition:
-        first = pad_generator({i: Fraction(0), j: Fraction(0)}, 3, c)
-        return Decomposition(
-            SYM,
-            tuple(rank1_summand([g + o for g, o in zip(gen, offsets)]) for gen in (first, second)),
-        )
-
-    return verified_padded(m, build, 1 + 2 * m.max_abs_entry())
+        return Sym3Result(INFINITE, violation)
+    if is_rank1_symmetric(m):
+        return Sym3Result(1)
+    return Sym3Result(2 if is_tropically_singular_3x3(m) else 3)
 
 
 # --- 5x5 star tree ----------------------------------------------------------
@@ -268,95 +226,27 @@ def star5_rank2_decompose(
 @dataclass(frozen=True)
 class Tree5Result:
     value: int
-    decomposition: Optional[Decomposition]
-    five_cycle: Optional[tuple[frozenset[Position], ...]] = None
     triangle: Optional[Term] = None
+    five_cycle: Optional[tuple[frozenset[Position], ...]] = None
 
 
 def tree5_rank(m: DissimilarityMatrix) -> Tree5Result:
     """Tree rank of a 5x5 matrix: 1, 2 or 3, with certificates.
 
     Rank 1 is the four-point condition; rank <= 2 holds exactly when the
-    22-term polynomial is minimized at a triangle term; otherwise the
-    deficiency graph is a 5-cycle and the rank is 3.
+    22-term polynomial is minimized at a triangle term (returned);
+    otherwise the deficiency graph is a 5-cycle (returned) and the rank
+    is 3.
     """
     if m.n != 5:
         raise ValueError("this classifier handles n = 5 only")
-    dec = one_summand(m, TREE)
-    if dec is not None:
-        return Tree5Result(1, dec)
+    if is_tree_matrix(m):
+        return Tree5Result(1)
     _, values = m.scaled_to_integers()
-    triangles = _triangle_minimizers(values)
+    triangles = [t for t in term_minimizers(PENTAGONS + TRIANGLES, values) if t in TRIANGLES]
     if triangles:
-        dec = tree5_rank2_decompose(m, triangles[0])
-        return Tree5Result(2, dec, triangle=triangles[0])
+        return Tree5Result(2, triangle=triangles[0])
     classification = classify_petersen(m)
     if classification.tag != FIVE_CYCLE:
         raise CertificateError("no triangle term is minimal, yet no 5-cycle either")
-    dec = certify(m, Decomposition(TREE, star_upper_decomposition(m).summands))
-    return Tree5Result(3, dec, five_cycle=tuple(sorted(classification.edges, key=sorted)))
-
-
-def tree5_rank2_decompose(
-    m: DissimilarityMatrix, triangle: Optional[Term] = None
-) -> Decomposition:
-    """Two tree summands when the 22-term polynomial picks a triangle.
-
-    Normalizes the triangle onto {3,4,5} with repeated pair {1,2}, orients
-    by the two cyclic inequalities (a relabeling always exists), fills the
-    completion entries forced by equality on rows 1 and 2, and pairs the
-    result with an extension of the {3,4,5} block.
-    """
-    _, values = m.scaled_to_integers()
-    if triangle is None:
-        candidates = _triangle_minimizers(values)
-        if not candidates:
-            raise ValueError("no triangle term minimizes the polynomial")
-        triangle = candidates[0]
-    doubled = next(p for p in triangle if triangle.count(p) == 2)
-    trio = tuple(sorted(set(range(1, 6)) - set(doubled)))
-    perm_found = None
-    for trio_image in itertools.permutations((3, 4, 5)):
-        for pair_image in itertools.permutations((1, 2)):
-            perm = [0] * 5
-            for src, dst in zip(trio, trio_image):
-                perm[src - 1] = dst
-            for src, dst in zip(sorted(doubled), pair_image):
-                perm[src - 1] = dst
-            mm = _relabeled(values, perm)
-            ok_b = mm[(1, 5)] + mm[(2, 4)] <= mm[(1, 4)] + mm[(2, 5)]
-            ok_c = mm[(1, 3)] + mm[(2, 5)] <= mm[(1, 5)] + mm[(2, 3)]
-            if ok_b and ok_c:
-                perm_found = tuple(perm)
-                break
-        if perm_found:
-            break
-    if perm_found is None:
-        raise CertificateError("no relabeling orients the triangle term")
-    mm = apply_permutation(m, perm_found)
-    t_rows = _triangle_complement_matrix(mm)
-    if not is_tree_matrix(t_rows) or any(t_rows[p] < mm[p] for p in mm.positions()):
-        raise CertificateError("the triangle completion is not a tree matrix above the input")
-    inverse = [0] * 5
-    for i, img in enumerate(perm_found, start=1):
-        inverse[img - 1] = i
-    back = {v: inverse[v - 1] for v in range(1, 6)}
-    first = tree_summand(realize_tree(t_rows).relabelled_leaves(back, 5))
-    block = principal_submatrix(mm, (3, 4, 5))
-
-    def build(c: Fraction) -> Decomposition:
-        second = embed_tree_block(block, (3, 4, 5), 5, c).relabelled_leaves(back, 5)
-        return Decomposition(TREE, (first, tree_summand(second)))
-
-    return verified_padded(m, build, 1 + 2 * m.max_abs_entry())
-
-
-def _triangle_complement_matrix(mm: DissimilarityMatrix) -> DissimilarityMatrix:
-    completed = {
-        (3, 4): mm[(2, 4)] + mm[(1, 3)] - mm[(1, 2)],
-        (3, 5): mm[(2, 5)] + mm[(1, 3)] - mm[(1, 2)],
-        (4, 5): mm[(1, 5)] + mm[(2, 4)] - mm[(1, 2)],
-    }
-    return DissimilarityMatrix.from_function(
-        5, lambda i, j: completed[(i, j)] if (i, j) in completed else mm[(i, j)]
-    )
+    return Tree5Result(3, five_cycle=tuple(sorted(classification.edges, key=sorted)))

@@ -1,15 +1,14 @@
 """Constructive upper bounds: verified decompositions of a size known in
 advance, for every input of finite rank.
 
-This layer sits below the closed forms (`small_cases`), the cover formulas
-(`covers`) and the solver (`rank`), which all build on it.  It owns the
-finiteness test and diagonal normalization for symmetric matrices, the
-one-summand certificate of an input on the variety (`one_summand`), the
-inductive symmetric construction (max(n, n^2/4) summands), the star peel
-(n - 2), the 6x6 matching split (3) and the tree peel to the leading 6x6
-block (n - 3).  These sizes depend on n alone (`upper_size`), and each
-construction raises if it misses its size.  `rank.tree_upper_decomposition`
-adds the 5x5 two-tree classifier on top.
+This layer sits below the cover formulas (`covers`) and the solver
+(`rank`), which both build on it.  It owns diagonal normalization for
+symmetric matrices, the one-summand certificate of an input on the variety
+(`one_summand`), the inductive symmetric construction (max(n, n^2/4)
+summands), the star peel (n - 2), the 6x6 matching split (3) and the tree
+peel to the leading 6x6 block (n - 3).  These sizes depend on n alone
+(`upper_size`), and each construction raises if it misses its size.
+`rank.tree_upper_decomposition` takes the search's decomposition at n = 5.
 
 Each bound has one construction, split into a fixed part built once (the
 symmetric partial generators of one recursion, the 3x3 star generator,
@@ -28,7 +27,6 @@ from typing import Optional
 from .core import (
     DissimilarityMatrix,
     Matrix,
-    Position,
     SymmetricMatrix,
     _pad_value,
     pad_generator,
@@ -48,17 +46,8 @@ from .decomposition import (
     tree_summand,
     verified_padded,
 )
-from .membership import pfaffian_minimizers
+from .membership import finiteness_violation, pfaffian_minimizers
 from .trees import WeightedTree, embed_tree_block, realize_tree
-
-
-def finiteness_violation(m: SymmetricMatrix) -> Optional[Position]:
-    """A pair with M_ii + M_jj > 2 M_ij, which forces infinite rank."""
-    for i in range(1, m.n + 1):
-        for j in range(i + 1, m.n + 1):
-            if m[(i, i)] + m[(j, j)] > 2 * m[(i, j)]:
-                return (i, j)
-    return None
 
 
 def symmetric_rank_finite(m: SymmetricMatrix) -> bool:

@@ -231,10 +231,11 @@ class TestCli:
         count = "budget must be at least 0" if "--budget" in argv else "trials must be at least 1"
         assert capsys.readouterr().err == f"error: {count}, got {argv[-1]}\n"
 
-    @pytest.mark.parametrize("command", ["rank", "verify", "dimension"])
+    @pytest.mark.parametrize("command", ["rank", "verify", "dimension", "dimension-csv-no-grid"])
     def test_unreadable_path_is_a_usage_error(self, tmp_path, capsys, command):
         # A directory where a file belongs raises IsADirectoryError, an
         # OSError: exit 2, never 1 ("decomposition rejected") or a traceback.
+        # `--csv` without `--grid` has no CSV to write: exit 2, no file.
         mpath = tmp_path / "m.diss"
         mpath.write_text(serialize_matrix(generate("min", 5)))
         argv = {
@@ -242,9 +243,12 @@ class TestCli:
             "verify": ["verify", "--matrix", str(mpath), "--decomposition", str(tmp_path)],
             "dimension": ["dimension", "--notion", "star", "--n", "3", "--grid", "--sample", "1",
                           "--csv", str(tmp_path)],
+            "dimension-csv-no-grid": ["dimension", "--notion", "tree", "--n", "5", "--r", "2",
+                                      "--csv", str(tmp_path / "out.csv")],
         }[command]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_deficiency_json_and_dot(self, tmp_path):
         path = tmp_path / "c5.diss"

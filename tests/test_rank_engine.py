@@ -369,6 +369,16 @@ class TestVerify:
         report = verify(intro_dissimilarity, dec)
         assert not report.ok and report.summand_index == 1
 
+    @pytest.mark.parametrize("space", ["symmetric", "dissimilarity"])
+    def test_unknown_notion_is_rejected_in_either_space(
+        self, intro_symmetric, intro_dissimilarity, space
+    ):
+        # The notion is checked before the space, so no matrix passes a
+        # bogus notion off as "the wrong space".
+        m = intro_symmetric if space == "symmetric" else intro_dissimilarity
+        with pytest.raises(ValueError, match="unknown rank notion 'bogus'"):
+            verify_matrices(m, [m], "bogus")
+
 
 def reference_verify(m, matrices, notion):
     """`verify_matrices` as it was before it moved to integers: Fraction

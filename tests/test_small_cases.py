@@ -28,7 +28,7 @@ from troprank.deficiency import (
     classify_petersen,
 )
 from troprank.membership import PLUECKER, SYMMETRIC_MINORS, is_tree_matrix
-from troprank.rank import exact_rank
+from troprank.rank import exact_rank, tree_upper_decomposition
 from troprank.small_cases import (
     PENTAGONS,
     TRIANGLES,
@@ -38,7 +38,6 @@ from troprank.small_cases import (
     star5_rank2_test,
     sym3_rank,
     tree5_rank,
-    tree5_rank2_decompose,
 )
 
 from conftest import random_dissimilarity, random_symmetric
@@ -94,14 +93,11 @@ class TestPolynomialTerms:
 class TestSym3:
     def test_proof_shape_two_term(self):
         m = SymmetricMatrix.from_rows([[0, 0, 4], [0, 0, 6], [4, 6, 0]])
-        result = sym3_rank(m)
-        assert result.value == 2
-        assert verify(m, result.decomposition)
+        assert sym3_rank(m).value == 2
 
     def test_rank_one(self):
         m = rank_one_symmetric([1, frac("1/2"), -2])
-        result = sym3_rank(m)
-        assert result.value == 1 and verify(m, result.decomposition)
+        assert sym3_rank(m).value == 1
 
     def test_all_ones_offdiagonal_is_three(self):
         m = SymmetricMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -109,13 +105,12 @@ class TestSym3:
 
     def test_nonsingular_from_determinant_terms(self):
         m = SymmetricMatrix.from_rows([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
-        result = sym3_rank(m)
-        assert result.value == 3
-        assert verify(m, result.decomposition)
+        assert sym3_rank(m).value == 3
 
     def test_infinite(self):
         m = SymmetricMatrix.from_rows([[0, -1, 0], [-1, 0, 0], [0, 0, 0]])
-        assert sym3_rank(m).value == math.inf
+        result = sym3_rank(m)
+        assert result.value == math.inf and result.infinite_witness == (1, 2)
 
     def test_cross_validation_with_exact_solver(self, rng):
         for _ in range(150):
@@ -220,40 +215,42 @@ class TestStar5:
 class TestTree5:
     def test_tree_matrix_rank_one(self):
         m = DissimilarityMatrix.from_function(5, lambda i, j: min(i, j))
-        result = tree5_rank(m)
-        assert result.value == 1 and verify(m, result.decomposition)
+        assert tree5_rank(m).value == 1
 
     def test_five_cycle_rank_three(self):
         m = cycle_zero_one(5)
         result = tree5_rank(m)
         assert result.value == 3
         assert result.five_cycle is not None and len(result.five_cycle) == 5
-        assert verify(m, result.decomposition)
 
     def test_cross_validation_with_exact_solver(self, rng):
         for _ in range(120):
             m = random_dissimilarity(rng, 5, 0, 6)
-            result = tree5_rank(m)
-            assert result.value == exact_rank(m, TREE).value
-            assert verify(m, result.decomposition)
+            assert tree5_rank(m).value == exact_rank(m, TREE).value
 
     def test_rank2_decomposition_structure(self, rng):
-        # Both summands dominate the input, with the forced equality rows.
-        found = 0
-        for _ in range(150):
-            m = random_dissimilarity(rng, 5, 0, 6)
+        # `tree_upper_decomposition` at n = 5 has as many trees as the
+        # classifier's rank, each a tree matrix dominating the input.
+        # Every tenth input is a star tree matrix, so rank 1 occurs too.
+        seen = set()
+        for k in range(150):
+            if k % 10 == 0:
+                m = project(rank_one_symmetric([rng.randint(0, 6) for _ in range(5)]))
+            else:
+                m = random_dissimilarity(rng, 5, 0, 6)
             result = tree5_rank(m)
-            if result.value != 2:
-                continue
-            found += 1
-            for s in result.decomposition.summands:
+            value = result.value
+            assert (result.triangle in TRIANGLES) == (value == 2)
+            dec = tree_upper_decomposition(m)
+            assert len(dec) == value and verify(m, dec)
+            for s in dec.summands:
                 assert is_tree_matrix(s.matrix)
                 assert all(s.matrix[p] >= m[p] for p in m.positions())
-        assert found > 10
+            seen.add(value)
+        assert seen == {1, 2, 3}
 
     def test_star_tree_input_has_rank_le_2_path(self):
         m = project(rank_one_symmetric([0, 1, 2, 3, 4]))
-        dec = tree5_rank2_decompose(m) if not is_tree_matrix(m) else None
         # Star tree matrices are tree matrices, so the classifier reports 1.
         assert tree5_rank(m).value == 1
 
@@ -274,35 +271,3 @@ class TestTree5:
             # The 22-term polynomial check against the taxonomy.
             triangles = [t for t in fraction_minimizers(P22, m) if t in TRIANGLES]
             assert (value <= 2) == (bool(triangles) or value == 1)
-
-    def test_singular_test_fault_is_a_certificate_error(self, monkeypatch):
-        # A rank-3 input (no zero in the normalized matrix) sent down the
-        # rank-2 path by a faulty singularity test: exit 5, also under -O.
-        import troprank.small_cases as small_cases_module
-
-        m = SymmetricMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        assert sym3_rank(m).value == 3
-        monkeypatch.setattr(small_cases_module, "is_tropically_singular_3x3", lambda mm: True)
-        with pytest.raises(CertificateError, match="no zero off-diagonal entry"):
-            sym3_rank(m)
-
-    def test_broken_triangle_completion_is_a_certificate_error(self, monkeypatch):
-        # An internal fault (exit 5), not a non-tree input (exit 2), and it
-        # is raised under python -O as well.
-        import troprank.small_cases as small_cases_module
-
-        m = DissimilarityMatrix.from_rows(
-            [[None, 0, 0, 0, 4], [0, None, 2, 4, 1], [0, 2, None, 1, 3],
-             [0, 4, 1, None, 2], [4, 1, 3, 2, None]]
-        )
-        assert tree5_rank(m).value == 2
-        monkeypatch.setattr(
-            small_cases_module, "_triangle_complement_matrix", lambda mm: cycle_zero_one(5)
-        )
-        with pytest.raises(CertificateError, match="triangle completion"):
-            tree5_rank(m)
-
-    def test_decompose_requires_triangle_minimizer(self):
-        m = cycle_zero_one(5)
-        with pytest.raises(ValueError):
-            tree5_rank2_decompose(m)

@@ -39,6 +39,7 @@ from .decomposition import (
     tree_summand,
 )
 from .deficiency import _bits, _complement_components
+from .membership import finiteness_violation
 from .trees import WeightedTree, _add_edge
 
 CLIQUE = "clique"
@@ -251,17 +252,16 @@ def symmetric_rank_01(m: SymmetricMatrix) -> Rank01Result:
     """Symmetric rank of a 0/1 matrix via minimum clique covers.
 
     Zero diagonal: the clique-cover size exactly.  A diagonal one next to
-    a zero in the same row forces infinite rank; otherwise recurse on the
+    a zero in the same row forces infinite rank (the pair that
+    `membership.finiteness_violation` reports); otherwise recurse on the
     zero-diagonal principal block and add the all-ones matrix.
     """
     _require_zero_one(m)
     n = m.n
+    violation = finiteness_violation(m)
+    if violation is not None:
+        return Rank01Result(INFINITE, (), None, infinite_witness=violation)
     zero_diag = [i for i in range(1, n + 1) if m[(i, i)] == 0]
-    for i in range(1, n + 1):
-        if m[(i, i)] == 1:
-            for j in range(1, n + 1):
-                if j != i and m[(i, j)] == 0:
-                    return Rank01Result(INFINITE, (), None, infinite_witness=(i, j))
     if len(zero_diag) == n:
         g = ZeroOneGraph.from_matrix(m)
         size, cover = min_clique_cover(g)

@@ -3,15 +3,19 @@ bound of `decompose`.
 
 Layers, bottom up: `upper` builds the constructive upper bounds; `covers`
 (0/1 cover formulas) builds on it; this module sits on top.  Each answer
-comes from one source: the search, the cover formulas or `upper`.
+comes from one source: the exact solver or the cover formulas.
 `compute_rank` is the one entry point with a method choice:
 
 * ``auto``: the cover formula for a 0/1 matrix, else `exact_rank`;
 * ``exact``: `exact_rank`, always;
-* ``bounds``: the chromatic lower bound and the constructive upper bound,
-  with no search.
+* ``bounds``: `exact_rank` with budget 0, which searches no rank: the
+  membership test, the chromatic lower bound and the constructive upper
+  bound.  Its finite answers are `exact`'s.
 
-The exact solver realizes the secant-set definition directly: every matrix
+The rank is the least r with m in the r-th secant set, and the first
+secant set is the variety itself, so the exact solver decides r = 1 by the
+variety's membership test (`upper.one_summand`, O(n^2)).  From r = 2 on it
+realizes the secant-set definition directly: every matrix
 position must be attained by some summand, so it searches assignments of
 positions to summand slots and asks, per slot, whether a variety element
 exists that equals the target on the slot's positions and dominates it
@@ -99,13 +103,13 @@ def basis_for_notion(notion: str) -> str:
 def tree_upper_decomposition(m: DissimilarityMatrix) -> Decomposition:
     """Tree decompositions within the known worst-case sizes per n.
 
-    One summand whenever the four-point condition already holds (n != 6);
+    One summand whenever the four-point condition already holds;
     n = 5: the search's minimal decomposition (at most three trees);
     otherwise the search's upper bound: the star construction for n = 4,
-    the three-block matching split for n = 6 (always), and the peel to
-    the leading 6x6 block for n >= 7.
+    the three-block matching split for n = 6, and the peel to the leading
+    6x6 block for n >= 7.
     """
-    one = one_summand(m, TREE) if m.n != 6 else None
+    one = one_summand(m, TREE)
     if one is not None:
         return one
     if m.n == 5:
@@ -184,18 +188,16 @@ def compute_rank(
 
     `method` is "auto", "exact" or "bounds" (see the module docstring).
     `budget` (at least 0 on every route) is the largest rank the search
-    tries; past it the answer is an interval.  The cover formulas and
-    `bounds` run no search, so they ignore it.
+    tries; past it the answer is an interval.  The cover formulas ignore
+    it, and `bounds` is the solver at budget 0.
     """
     check_space(m, notion)
     _check_budget(budget)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method == "bounds":
-        return _bounds_rank(m, notion)
     if method == "auto" and all(v in (0, 1) for _, v in m.items()):
         return _zero_one_rank(m, notion)
-    return exact_rank(m, notion, budget)
+    return exact_rank(m, notion, 0 if method == "bounds" else budget)
 
 
 def _check_budget(budget: Optional[int]) -> None:
@@ -228,22 +230,6 @@ def _zero_one_rank(m: Matrix, notion: str) -> RankResult:
     return _finite_result(notion, outcome.value, chi, outcome.decomposition, certificate)
 
 
-def _bounds_rank(m: Matrix, notion: str) -> RankResult:
-    """The chromatic lower bound and the constructive upper bound, or one
-    summand when m lies on the variety (then χ = 1)."""
-    front = _lower_bound(m, notion)
-    if isinstance(front, RankResult):
-        return front
-    _, chi = front
-    upper = one_summand(m, notion) if chi == 1 else None
-    if upper is None:
-        upper = _upper_for_search(m, notion)
-    if chi >= len(upper):
-        return _finite_result(notion, len(upper), chi, upper, {"type": "bounds"})
-    certificate = {"type": "chromatic", "value": chi}
-    return RankResult(notion, "interval", None, chi, len(upper), chi, certificate, upper)
-
-
 def _chromatic(m: Matrix, notion: str) -> tuple[DeficiencyHypergraph, int]:
     """The deficiency graph of m and its chromatic number, a rank lower bound."""
     hypergraph = build_deficiency(m, basis_for_notion(notion))
@@ -253,15 +239,6 @@ def _chromatic(m: Matrix, notion: str) -> tuple[DeficiencyHypergraph, int]:
     return hypergraph, int(chi)
 
 
-def _lower_bound(m: Matrix, notion: str) -> Union[RankResult, tuple[DeficiencyHypergraph, int]]:
-    """The infinite-rank result, or (deficiency graph, χ)."""
-    if notion == SYM:
-        violation = finiteness_violation(m)
-        if violation is not None:
-            return _infinite_result(notion, violation)
-    return _chromatic(m, notion)
-
-
 def exact_rank(
     m: Matrix,
     notion: str,
@@ -269,25 +246,34 @@ def exact_rank(
 ) -> RankResult:
     """Smallest number of variety summands reproducing m, with certificates.
 
-    The search runs r upward from the chromatic lower bound, stopping
-    below the size of the constructive upper bound, which depends on n
-    alone; the construction, a verified decomposition, is built only when
-    the search finds nothing smaller.
-    Intended scale: n <= 7.
+    r = 1 is the membership test `one_summand`, run at every budget: it
+    answers whenever m lies on the variety, and with a sound χ <= 1 it
+    always does.  The search then runs r upward from max(2, χ), stopping
+    at `budget` and below the size of the constructive upper bound, which
+    depends on n alone; the construction, a verified decomposition, is
+    built only when the search finds nothing smaller.  `budget` 0 tries
+    membership alone: the chromatic bound and the construction, as
+    `bounds` reports them.
+    Intended scale: n <= 7 for the search; an input on the variety answers
+    at any n.
     """
     check_space(m, notion)
     _check_budget(budget)
-    front = _lower_bound(m, notion)
-    if isinstance(front, RankResult):
-        return front
-    hypergraph, chi = front
+    if notion == SYM:
+        violation = finiteness_violation(m)
+        if violation is not None:
+            return _infinite_result(notion, violation)
+    hypergraph, chi = _chromatic(m, notion)
     ub = upper_size(notion, m.n)
-    low = max(1, chi)
     budget_eff = ub if budget is None else budget
-
-    searcher = _AssignmentSearcher(m, notion, hypergraph)
-    searched_through = low - 1
-    for r in range(low, min(ub, budget_eff + 1)):
+    if chi <= 1:
+        one = one_summand(m, notion)
+        if one is not None:
+            return _finite_result(notion, 1, chi, one, _lower_certificate(chi, 1, 0))
+    searched_through = max(2, chi) - 1  # r = 1 is out: by χ, or by membership
+    ranks = range(searched_through + 1, min(ub, budget_eff + 1))
+    searcher = _AssignmentSearcher(m, notion, hypergraph) if ranks else None
+    for r in ranks:
         witnesses = searcher.search(r)
         if witnesses is not None:
             dec = certify(m, _decomposition_from_witnesses(m, notion, witnesses))

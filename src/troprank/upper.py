@@ -260,7 +260,7 @@ def _tree_peel_decomposition(m: DissimilarityMatrix) -> Decomposition:
 
 
 def _upper_for_search(m: Matrix, notion: str) -> Decomposition:
-    """The verified upper bound that the exact search and `bounds` report."""
+    """The verified upper bound that the exact solver reports, `bounds` included."""
     if notion == SYM:
         return symmetric_upper_decomposition(m)
     if notion == STAR:

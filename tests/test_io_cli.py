@@ -342,6 +342,24 @@ class TestAutoExactAgreement:
                 ranks.add((notion, json.loads(runs[0][1])["rank"]))
         assert {("sym", "infinity"), ("star", 3), ("tree", 2), ("tree", 3)} <= ranks, ranks
 
+    def test_infinite_zero_one_prints_the_same_bytes(self, tmp_path, capsys):
+        # On an infinite 0/1 input the cover formula reports the violating
+        # pair of the search's finiteness test, sorted.
+        texts = ["symmetric 3\n0 0 1\n0 1 1\n1 1 0\n"]
+        texts += [serialize_matrix(random_symmetric(random.Random(seed), 5, 0, 1)) for seed in range(12)]
+        infinite = 0
+        for k, text in enumerate(texts):
+            path = tmp_path / f"m{k}.txt"
+            path.write_text(text)
+            runs = []
+            for method in ("auto", "exact"):
+                code = main(["rank", str(path), "--notion", "sym", "--method", method])
+                runs.append((code, capsys.readouterr().out))
+            if runs[0][0] == 4:
+                assert runs[0] == runs[1], text
+                infinite += 1
+        assert infinite >= 6
+
     def test_bounds_method_reports_interval_or_value(self, tmp_path):
         path = tmp_path / "m.diss"
         path.write_text(run_cli("generate", "min", "6").stdout)

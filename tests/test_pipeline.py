@@ -6,9 +6,10 @@ exit code, reported rank and a digest of stdout.
 The pins were recorded before method dispatch moved from the CLI into
 `troprank.compute_rank`, so they hold the library to the CLI's old output
 byte for byte.  `compute_rank(...).to_json_dict()` must print the same JSON.
-The four `bounds` pins of rank-one inputs (sym3-rank1 sym, star5-rank1 star
-and tree, tree5-rank1 tree) give rank 1: `bounds` tries the one-summand
-certificate whenever χ = 1.  The `deficiency` pins were recorded before the
+The rank-one inputs (sym3-rank1 sym, star5-rank1 star and tree,
+tree5-rank1 tree) give rank 1 on every route: r = 1 is the one-summand
+membership test at every budget, `bounds` (budget 0) included.  The
+`deficiency` pins were recorded before the
 bases became relation tables.  The `*-rational` pins (entry denominators 1,
 2 and 3) and the `dimension --grid` pins were recorded before the sum-slot
 systems and the 5x5 closed forms moved to integer entry: every other input
@@ -24,7 +25,14 @@ The `auto` pins of the non-0/1 3x3 symmetric and 5x5 inputs were recorded
 when `auto` stopped answering them by the closed forms; each equals its
 `exact` twin.  The `tree5-rank2 tree decompose` pin and the construction
 pin were recorded when `tree_upper_decomposition` at n = 5 became the
-search's decomposition; the former equals its `--minimize` twin.
+search's decomposition; the former equals its `--minimize` twin.  The
+17 finite `bounds` pins, the three `star5-rank1 tree` pins and the
+`sym01-infinite sym auto` pin were recorded when `bounds` became the search
+with no rank to search, r = 1 the membership test and the symmetric 0/1
+cover formula's infinite witness `membership.finiteness_violation`'s sorted
+pair; a script checked that each equals its `exact` twin before the re-pin.
+The `star5-rank1 tree` answers now carry `realize_tree`'s tree, not a binary
+LP shape with a zero-length edge.
 """
 
 import ast
@@ -47,7 +55,7 @@ from troprank.rank import exact_rank, tree_upper_decomposition
 from troprank.trees import WeightedTree, realize_tree
 from troprank.upper import _upper_for_search, star_upper_decomposition, symmetric_upper_decomposition
 
-from conftest import random_dissimilarity
+from conftest import random_dissimilarity, random_finite_symmetric, random_symmetric
 
 _ = None  # a dissimilarity diagonal
 
@@ -157,13 +165,13 @@ NOTIONS_OF = {
 PINS = {
     'sym3-rank1 sym auto': (0, 1, '2f5181daa1cd9440'),
     'sym3-rank1 sym exact': (0, 1, '2f5181daa1cd9440'),
-    'sym3-rank1 sym bounds': (0, 1, 'b2ed9e77cf16cd76'),
+    'sym3-rank1 sym bounds': (0, 1, '2f5181daa1cd9440'),
     'sym3-rank2 sym auto': (0, 2, 'f64f55e75226cfc6'),
     'sym3-rank2 sym exact': (0, 2, 'f64f55e75226cfc6'),
     'sym3-rank2 sym bounds': (3, None, '5953b58f96a591d8'),
     'sym3-rank3 sym auto': (0, 3, '93b385d5eea1201f'),
     'sym3-rank3 sym exact': (0, 3, '93b385d5eea1201f'),
-    'sym3-rank3 sym bounds': (0, 3, 'a7a8a146882e7f6c'),
+    'sym3-rank3 sym bounds': (0, 3, '93b385d5eea1201f'),
     'sym3-infinite sym auto': (4, 'infinity', 'ca413b18e5318ab6'),
     'sym3-infinite sym exact': (4, 'infinity', 'ca413b18e5318ab6'),
     'sym3-infinite sym bounds': (4, 'infinity', 'ca413b18e5318ab6'),
@@ -172,7 +180,7 @@ PINS = {
     'sym4-infinite sym bounds': (4, 'infinity', '5b6ecf434a814c33'),
     'sym4-rational sym auto': (0, 4, '2948c0cbd5e05551'),
     'sym4-rational sym exact': (0, 4, '2948c0cbd5e05551'),
-    'sym4-rational sym bounds': (0, 4, '38a82f1fbd9f4fde'),
+    'sym4-rational sym bounds': (0, 4, '2948c0cbd5e05551'),
     'sym5-rational sym auto': (0, 5, '1701b130b66799a7'),
     'sym5-rational sym exact': (0, 5, '1701b130b66799a7'),
     'sym5-rational sym bounds': (3, None, 'f6723de53a9e76ef'),
@@ -181,7 +189,7 @@ PINS = {
     'star6-rational star bounds': (3, None, 'a896fd6e1c2c96bf'),
     'star6-rational tree auto': (0, 3, '0c713fd6d351a52c'),
     'star6-rational tree exact': (0, 3, '0c713fd6d351a52c'),
-    'star6-rational tree bounds': (0, 3, '36f4d1f397a96daf'),
+    'star6-rational tree bounds': (0, 3, '0c713fd6d351a52c'),
     'star5-rational star auto': (0, 2, '116f95bedb0691c3'),
     'star5-rational star exact': (0, 2, '116f95bedb0691c3'),
     'star5-rational star bounds': (3, None, '341c4e005ebf8930'),
@@ -193,13 +201,13 @@ PINS = {
     'tree5-rational tree bounds': (3, None, '85d8c776a6114c55'),
     'tree5-rational star auto': (0, 3, '7fe6e3cc463da500'),
     'tree5-rational star exact': (0, 3, '7fe6e3cc463da500'),
-    'tree5-rational star bounds': (0, 3, '4fe1762c6b7bde8d'),
+    'tree5-rational star bounds': (0, 3, '7fe6e3cc463da500'),
     'tree6-rational tree auto': (0, 2, '7cdaf98af91ecf3a'),
     'tree6-rational tree exact': (0, 2, '7cdaf98af91ecf3a'),
     'tree6-rational tree bounds': (3, None, '187f0db2df1ed0c4'),
     'tree6-rational star auto': (0, 4, '6742a8bb2f17cf36'),
     'tree6-rational star exact': (0, 4, '6742a8bb2f17cf36'),
-    'tree6-rational star bounds': (0, 4, 'b18ca234d8fed8c5'),
+    'tree6-rational star bounds': (0, 4, '6742a8bb2f17cf36'),
     'tree7-rational tree auto': (0, 3, '3ec2e33c393c3859'),
     'tree7-rational tree exact': (0, 3, '3ec2e33c393c3859'),
     'tree7-rational tree bounds': (3, None, '041b328476aa7261'),
@@ -211,13 +219,13 @@ PINS = {
     'tree8-rational tree bounds': (3, None, '085372102064242d'),
     'tree8-rational star auto': (0, 6, '977823bb55282ab5'),
     'tree8-rational star exact': (0, 6, '977823bb55282ab5'),
-    'tree8-rational star bounds': (0, 6, 'fad2a6fee6ad388d'),
+    'tree8-rational star bounds': (0, 6, '977823bb55282ab5'),
     'star5-rank1 star auto': (0, 1, 'cc27f3baca720db4'),
     'star5-rank1 star exact': (0, 1, 'cc27f3baca720db4'),
-    'star5-rank1 star bounds': (0, 1, 'd18a94d064bb8dda'),
-    'star5-rank1 tree auto': (0, 1, '196da7cf2c82f214'),
-    'star5-rank1 tree exact': (0, 1, '196da7cf2c82f214'),
-    'star5-rank1 tree bounds': (0, 1, '65bc7187a9ade918'),
+    'star5-rank1 star bounds': (0, 1, 'cc27f3baca720db4'),
+    'star5-rank1 tree auto': (0, 1, '668d14df85e225f1'),
+    'star5-rank1 tree exact': (0, 1, '668d14df85e225f1'),
+    'star5-rank1 tree bounds': (0, 1, '668d14df85e225f1'),
     'star5-rank2 star auto': (0, 2, 'fbf26ec10eadb5a9'),
     'star5-rank2 star exact': (0, 2, 'fbf26ec10eadb5a9'),
     'star5-rank2 star bounds': (3, None, '98d1a6a2eeee98d4'),
@@ -226,35 +234,35 @@ PINS = {
     'star5-rank2 tree bounds': (3, None, '2c874d4f8ae1bc45'),
     'star5-rank3 star auto': (0, 3, '419418ba5b02a1c1'),
     'star5-rank3 star exact': (0, 3, '419418ba5b02a1c1'),
-    'star5-rank3 star bounds': (0, 3, 'ee2f9c7ec3d7bc52'),
+    'star5-rank3 star bounds': (0, 3, '419418ba5b02a1c1'),
     'star5-rank3 tree auto': (0, 2, '562b4656e343d651'),
     'star5-rank3 tree exact': (0, 2, '562b4656e343d651'),
     'star5-rank3 tree bounds': (3, None, '5932d7c7f0389277'),
     'tree5-rank1 tree auto': (0, 1, 'b9e2eefc11e18114'),
     'tree5-rank1 tree exact': (0, 1, 'b9e2eefc11e18114'),
-    'tree5-rank1 tree bounds': (0, 1, '61345a948fd53813'),
+    'tree5-rank1 tree bounds': (0, 1, 'b9e2eefc11e18114'),
     'tree5-rank1 star auto': (0, 3, 'a0ea93c8c3ddb886'),
     'tree5-rank1 star exact': (0, 3, 'a0ea93c8c3ddb886'),
-    'tree5-rank1 star bounds': (0, 3, '10a97ab384aca73f'),
+    'tree5-rank1 star bounds': (0, 3, 'a0ea93c8c3ddb886'),
     'tree5-rank2 tree auto': (0, 2, 'b1393e67a6197ada'),
     'tree5-rank2 tree exact': (0, 2, 'b1393e67a6197ada'),
     'tree5-rank2 tree bounds': (3, None, '10a8d60715a080d5'),
     'tree5-rank2 star auto': (0, 3, 'a55f256f2a4322be'),
     'tree5-rank2 star exact': (0, 3, 'a55f256f2a4322be'),
-    'tree5-rank2 star bounds': (0, 3, '357ae7f83c6adc52'),
+    'tree5-rank2 star bounds': (0, 3, 'a55f256f2a4322be'),
     'tree5-rank3 tree auto': (0, 3, '990323a2a2285397'),
     'tree5-rank3 tree exact': (0, 3, '990323a2a2285397'),
-    'tree5-rank3 tree bounds': (0, 3, 'ce5e2b205d44e39f'),
+    'tree5-rank3 tree bounds': (0, 3, '990323a2a2285397'),
     'tree5-rank3 star auto': (0, 3, '2686e5f07a6995cd'),
     'tree5-rank3 star exact': (0, 3, '2686e5f07a6995cd'),
-    'tree5-rank3 star bounds': (0, 3, 'f70db11581d1da2a'),
+    'tree5-rank3 star bounds': (0, 3, '2686e5f07a6995cd'),
     'sym01 sym auto': (0, 4, 'bc4db2ba0d21d442'),
     'sym01 sym exact': (0, 4, '3663ade598b751b5'),
     'sym01 sym bounds': (3, None, 'b8f0cdee03746c70'),
     'sym01-diag sym auto': (0, 3, '6fbdb510d3c5c9f4'),
     'sym01-diag sym exact': (0, 3, '273fa7530389c47c'),
     'sym01-diag sym bounds': (3, None, 'd8335b4965f06894'),
-    'sym01-infinite sym auto': (4, 'infinity', '61029de01fc1ca0e'),
+    'sym01-infinite sym auto': (4, 'infinity', 'c9b0f5d68772f82f'),
     'sym01-infinite sym exact': (4, 'infinity', 'c9b0f5d68772f82f'),
     'sym01-infinite sym bounds': (4, 'infinity', 'c9b0f5d68772f82f'),
     'star01-solid star auto': (0, 3, '04c6e38c6cffb2d5'),
@@ -271,7 +279,7 @@ PINS = {
     'star01-nonsolid tree bounds': (3, None, 'c7ee8daae790a80a'),
     'tree01 tree auto': (0, 3, '0daec4c11afe1b29'),
     'tree01 tree exact': (0, 3, '4793ba90d78cb45a'),
-    'tree01 tree bounds': (0, 3, '12d555e9a485d75c'),
+    'tree01 tree bounds': (0, 3, '4793ba90d78cb45a'),
     'tree01 star auto': (0, 3, 'c9501514b0f48bee'),
     'tree01 star exact': (0, 3, 'd9993c6f094a696a'),
     'tree01 star bounds': (3, None, 'fdf5ea640d771001'),
@@ -280,7 +288,7 @@ PINS = {
     'sym6 sym bounds': (3, None, '38b793a26b6a4b1d'),
     'tree6 tree auto': (0, 3, '7f72eafa32ef4740'),
     'tree6 tree exact': (0, 3, '7f72eafa32ef4740'),
-    'tree6 tree bounds': (0, 3, '30d705a22204681d'),
+    'tree6 tree bounds': (0, 3, '7f72eafa32ef4740'),
     'tree6 star auto': (0, 3, 'b22f842c124a4aa5'),
     'tree6 star exact': (0, 3, 'b22f842c124a4aa5'),
     'tree6 star bounds': (3, None, '4db2a6e794d4563a'),
@@ -586,6 +594,36 @@ def test_library_matches_cli(tmp_path, capsys):
         assert json.dumps(result.to_json_dict(), indent=2) + "\n" == out, (name, notion, method)
 
 
+def test_finite_bounds_answers_are_the_exact_bytes():
+    """`bounds` is the search with no rank to search (budget 0), so each
+    determination it reaches (χ = 1, χ equal to the construction's size, or
+    infinite rank) is `exact`'s JSON byte for byte: on every pinned input
+    and on seeded 3..7 inputs of each notion."""
+    cases = [
+        (parse_matrix(_matrix_text(name)), notion)
+        for name, notion, method, _ in _routes(MATRICES)
+        if method == "bounds"
+    ]
+    for seed in range(8):
+        rng = random.Random(seed)
+        for n in range(3, 8):
+            d = random_dissimilarity(rng, n, 0, 4)
+            cases += [
+                (random_finite_symmetric(rng, n, 0, 4), "sym"),
+                (random_symmetric(rng, n, 0, 4), "sym"),
+                (d, "star"),
+                (d, "tree"),
+            ]
+    determined = set()
+    for m, notion in cases:
+        bounds = compute_rank(m, notion, "bounds")
+        if bounds.status != "interval":
+            exact = compute_rank(m, notion, "exact")
+            assert json.dumps(bounds.to_json_dict()) == json.dumps(exact.to_json_dict())
+            determined.add((notion, bounds.status))
+    assert {("sym", "finite"), ("sym", "infinite"), ("star", "finite"), ("tree", "finite")} <= determined
+
+
 @pytest.mark.parametrize("command", ["rank", "decompose", "dimension"])
 def test_notion_choices_are_the_notions(capsys, command):
     argv = [command, "--notion", "none"] + (["--n", "5"] if command == "dimension" else ["m.txt"])
@@ -658,9 +696,9 @@ def test_package_imports_have_no_cycle():
 
 def test_budget_two_interval_always_proves_rank_above_two(monkeypatch):
     """exact_rank(m, TREE, budget=2) returns a rank, or an interval whose
-    lower bound is at least 3: either χ >= 3, or the search has ruled out
-    every r <= 2.  The second run weakens χ to 1 (still a valid lower bound)
-    so that the search itself has to rule out ranks 1 and 2."""
+    lower bound is at least 3: either χ >= 3, or ranks 1 and 2 are ruled
+    out.  The second run weakens χ to 1 (still a valid lower bound): then
+    the membership test rules out r = 1 and the search rules out r = 2."""
     import troprank.rank as rank_module
 
     rng = random.Random(11)

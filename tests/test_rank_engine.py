@@ -179,6 +179,26 @@ class TestTreeUpper:
             assert verify(m, dec)
             assert all(is_tree_matrix(s.matrix) for s in dec.summands)
 
+    def test_six_by_six_tree_matrix_is_one_tree(self):
+        m = generate("min", 6)
+        dec = tree_upper_decomposition(m)
+        assert len(dec) == 1 and verify(m, dec)
+
+    def test_tree_matrix_needs_no_shape_table(self, monkeypatch):
+        # r = 1 is the membership test, so a tree matrix answers at any n
+        # without the (2n-5)!! binary shapes (135,135 at n = 9).
+        import troprank.rank as rank_module
+
+        def refuse(n):
+            raise AssertionError("built the binary shape table")
+
+        m = generate("min", 9)
+        monkeypatch.setattr(rank_module, "_binary_topologies", refuse)
+        results = [exact_rank(m, TREE)] + [compute_rank(m, TREE, method) for method in ("auto", "exact")]
+        for result in results:
+            assert (result.status, result.value, len(result.decomposition)) == ("finite", 1, 1)
+            assert verify(m, result.decomposition)
+
     def test_tr6_reaches_its_chromatic_bound(self):
         m = tr6_matrix()
         dec = tree_upper_decomposition(m)
@@ -668,6 +688,8 @@ class TestUpperSize:
         assert exact_rank(m, TREE).to_json_dict() == expected.to_json_dict()
 
     def test_bounds_certify_rank_one(self):
+        # r = 1 is the membership test at every budget: `bounds` and an
+        # `exact` budget of 0 answer rank one alike.
         cases = [
             (SYM, rank_one_symmetric([1, frac("1/2"), 3, 0])),
             (STAR, project(rank_one_symmetric([2, 0, 5, 1, 4, 3]))),
@@ -677,6 +699,7 @@ class TestUpperSize:
             result = compute_rank(m, notion, "bounds")
             assert (result.status, result.value, len(result.decomposition)) == ("finite", 1, 1)
             assert verify(m, result.decomposition)
+            assert compute_rank(m, notion, "exact", 0).to_json_dict() == result.to_json_dict()
 
 
 class TestCertificateChecks:

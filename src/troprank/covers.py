@@ -14,7 +14,7 @@ which is exact at the intended scale (n <= 12 or so):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -25,7 +25,6 @@ from .core import (
     SymmetricMatrix,
     frac,
     pad_generator,
-    trop_sum_all,
 )
 from .decomposition import (
     CertificateError,
@@ -49,36 +48,28 @@ MULTIPARTITE = "multipartite"
 
 @dataclass(frozen=True)
 class ZeroOneGraph:
-    n: int
-    edges: frozenset[frozenset[int]]
-    # Bit u of adj[v] is set when uv is an edge; vertices are 1..n, so adj[0] is 0.
-    adj: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    """G_M as adjacency masks.  A cover item is a bit: vertex v is bit v and
+    the pair {i < j} is bit i(n+1) + j, so pair bits sit above every vertex
+    bit and run in (i, j) order."""
 
-    def __post_init__(self) -> None:
-        adj = [0] * (self.n + 1)
-        for i, j in self.edges:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        object.__setattr__(self, "adj", tuple(adj))
+    n: int
+    # Bit u of adj[v] is set when uv is an edge; vertices are 1..n, so adj[0] is 0.
+    adj: tuple[int, ...]
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "ZeroOneGraph":
-        out = set()
+        adj = [0] * (n + 1)
         for i, j in edges:
             if i == j or not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"bad edge ({i},{j})")
-            out.add(frozenset({i, j}))
-        return cls(n, frozenset(out))
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return cls(n, tuple(adj))
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "ZeroOneGraph":
-        _require_zero_one(m)
-        edges = frozenset(
-            frozenset({i, j})
-            for (i, j) in m.positions()
-            if i != j and m[(i, j)] == 0
-        )
-        return cls(m.n, edges)
+        """The graph of the zero entries of a 0/1 matrix off the diagonal."""
+        return cls.from_edges(m.n, (p for p in m.positions() if p[0] != p[1] and m[p] == 0))
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -86,18 +77,37 @@ class ZeroOneGraph:
     def neighbors(self, v: int) -> set[int]:
         return set(_bits(self.adj[v]))
 
-    def isolated_vertices(self) -> list[int]:
-        return [v for v in self.vertices() if not self.adj[v]]
-
     def has_edge(self, i: int, j: int) -> bool:
-        return frozenset({i, j}) in self.edges
+        return bool(self.adj[i] >> j & 1)
+
+    def edge_items(self) -> int:
+        """The item mask of the edges: each neighbor j above i shifts to bit i(n+1) + j."""
+        n = self.n
+        return sum((self.adj[i] >> i + 1 << i + 1) << i * (n + 1) for i in self.vertices())
+
+
+def _within(n: int, vertices: int) -> int:
+    """The item mask of the pairs inside the vertex mask `vertices`."""
+    out = 0
+    while vertices:
+        low = vertices & -vertices
+        vertices ^= low
+        # Vertex i pairs with each vertex j above it: bit j shifts to bit i(n+1) + j.
+        out |= vertices << (low.bit_length() - 1) * (n + 1)
+    return out
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    """The vertex mask of `vertices`, which may repeat."""
+    out = 0
+    for v in vertices:
+        out |= 1 << v
+    return out
 
 
 def _require_zero_one(m: Matrix) -> None:
-    zero, one = Fraction(0), Fraction(1)
-    for _, v in m.items():
-        if v != zero and v != one:
-            raise ValueError("matrix entries must all be 0 or 1")
+    if any(v not in (0, 1) for _, v in m.items()):
+        raise ValueError("matrix entries must all be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -107,29 +117,6 @@ class CoverElement:
     center: int = 0                          # star
     leaves: tuple[int, ...] = ()             # star
     parts: tuple[tuple[int, ...], ...] = ()  # multipartite
-
-    def edge_footprint(self) -> frozenset[frozenset[int]]:
-        if self.kind == CLIQUE:
-            return frozenset(
-                frozenset(p) for p in itertools.combinations(self.vertices, 2)
-            )
-        if self.kind == STAR_ELEMENT:
-            return frozenset(frozenset({self.center, l}) for l in self.leaves)
-        if self.kind == MULTIPARTITE:
-            return frozenset(
-                frozenset({a, b})
-                for p1, p2 in itertools.combinations(self.parts, 2)
-                for a in p1
-                for b in p2
-            )
-        raise ValueError(self.kind)
-
-    def vertex_footprint(self) -> frozenset[int]:
-        if self.kind == CLIQUE:
-            return frozenset(self.vertices)
-        if self.kind == STAR_ELEMENT:
-            return frozenset({self.center, *self.leaves})
-        return frozenset(v for p in self.parts for v in p)
 
     def to_json_dict(self) -> dict:
         if self.kind == CLIQUE:
@@ -154,14 +141,8 @@ def maximal_cliques(g: ZeroOneGraph) -> list[tuple[int, ...]]:
             p ^= 1 << v
             x |= 1 << v
 
-    expand(0, sum(1 << v for v in g.vertices()), 0)
+    expand(0, _mask(g.vertices()), 0)
     return sorted(out)
-
-
-def _item_masks(items: Sequence, footprints: Iterable[Iterable]) -> list[int]:
-    """Each footprint as the mask of its members' positions in `items`."""
-    bit = {it: 1 << i for i, it in enumerate(items)}
-    return [sum(bit[it] for it in fp) for fp in footprints]
 
 
 def _cover_search(
@@ -200,12 +181,11 @@ def _cover_search(
     search(uncovered)
 
 
-def _exact_min_cover(footprints: Sequence[int], n_items: int) -> list[int]:
-    """Ascending indices of the fewest footprints (item masks) covering items
-    0..n_items-1: the greedy cover, then the cover search below its size."""
-    everything = (1 << n_items) - 1
+def _exact_min_cover(footprints: Sequence[int], items: int) -> list[int]:
+    """Ascending indices of the fewest footprints (item masks) covering the
+    item mask `items`: the greedy cover, then the cover search below its size."""
     best: list[int] = []
-    uncovered = everything
+    uncovered = items
     while uncovered:
         k = max(
             range(len(footprints)),
@@ -221,21 +201,16 @@ def _exact_min_cover(footprints: Sequence[int], n_items: int) -> list[int]:
         best = list(cover)
         return len(best) - 1
 
-    _cover_search(footprints, everything, len(best) - 1, found)
+    _cover_search(footprints, items, len(best) - 1, found)
     return sorted(best)
 
 
 def min_clique_cover(g: ZeroOneGraph) -> tuple[int, list[CoverElement]]:
     """Fewest cliques covering every edge and every vertex of G."""
-    cliques = [CoverElement(CLIQUE, vertices=c) for c in maximal_cliques(g)]
-    items = [*g.vertices(), *sorted_edges(g)]
-    footprints = _item_masks(items, (el.vertex_footprint() | el.edge_footprint() for el in cliques))
-    best = _exact_min_cover(footprints, len(items))
-    return len(best), [cliques[k] for k in best]
-
-
-def sorted_edges(g: ZeroOneGraph) -> list[frozenset[int]]:
-    return sorted(g.edges, key=lambda e: tuple(sorted(e)))
+    cliques = maximal_cliques(g)
+    footprints = [vs | _within(g.n, vs) for vs in map(_mask, cliques)]
+    best = _exact_min_cover(footprints, _mask(g.vertices()) | g.edge_items())
+    return len(best), [CoverElement(CLIQUE, vertices=cliques[k]) for k in best]
 
 
 @dataclass(frozen=True)
@@ -263,8 +238,7 @@ def symmetric_rank_01(m: SymmetricMatrix) -> Rank01Result:
         return Rank01Result(INFINITE, (), None, infinite_witness=violation)
     zero_diag = [i for i in range(1, n + 1) if m[(i, i)] == 0]
     if len(zero_diag) == n:
-        g = ZeroOneGraph.from_matrix(m)
-        size, cover = min_clique_cover(g)
+        size, cover = min_clique_cover(ZeroOneGraph.from_matrix(m))
         summands = [
             rank1_summand([0 if v in set(el.vertices) else 1 for v in range(1, n + 1)])
             for el in cover
@@ -289,15 +263,6 @@ def symmetric_rank_01(m: SymmetricMatrix) -> Rank01Result:
     return Rank01Result(inner.value + 1, inner.cover, dec)
 
 
-def _star_candidates(g: ZeroOneGraph) -> list[CoverElement]:
-    out = []
-    for v in g.vertices():
-        nb = tuple(_bits(g.adj[v]))
-        if nb:
-            out.append(CoverElement(STAR_ELEMENT, center=v, leaves=nb))
-    return out
-
-
 def min_clique_star_cover(
     g: ZeroOneGraph,
 ) -> tuple[int, list[CoverElement], bool, Optional[list[CoverElement]]]:
@@ -308,13 +273,18 @@ def min_clique_star_cover(
     star; maximal elements only help those conditions, so searching over
     maximal cliques and full-neighborhood stars is exhaustive.
     """
-    edges = sorted_edges(g)
+    edges = g.edge_items()
     if not edges:
         return 0, [], False, None
-    cliques = [CoverElement(CLIQUE, vertices=c) for c in maximal_cliques(g) if len(c) >= 2]
-    elements = cliques + _star_candidates(g)
-    footprints = _item_masks(edges, (el.edge_footprint() for el in elements))
-    best = _exact_min_cover(footprints, len(edges))
+    n = g.n
+    cliques = [c for c in maximal_cliques(g) if len(c) >= 2]
+    elements = [CoverElement(CLIQUE, vertices=c) for c in cliques]
+    footprints = [_within(n, _mask(c)) for c in cliques]
+    for v in g.vertices():
+        if g.adj[v]:
+            elements.append(CoverElement(STAR_ELEMENT, center=v, leaves=tuple(_bits(g.adj[v]))))
+            footprints.append(_within(n, g.adj[v] | 1 << v) ^ _within(n, g.adj[v]))
+    best = _exact_min_cover(footprints, edges)
     size = len(best)
     solid_cover: Optional[list[CoverElement]] = None
 
@@ -327,31 +297,22 @@ def min_clique_star_cover(
         solid_cover = cover
         return -1
 
-    _cover_search(footprints, (1 << len(edges)) - 1, size, found)
+    _cover_search(footprints, edges, size, found)
     return size, [elements[k] for k in best], solid_cover is not None, solid_cover
 
 
 def _cover_is_solid(g: ZeroOneGraph, elements: Sequence[CoverElement]) -> bool:
-    clique_members = set()
-    centers = set()
-    star_leafsets = []
+    """Every non-edge touches a clique or a star center, or joins two leaves
+    of one star."""
+    touched = leaf_pairs = 0
     for el in elements:
         if el.kind == CLIQUE:
-            clique_members.update(el.vertices)
+            touched |= _mask(el.vertices)
         else:
-            centers.add(el.center)
-            star_leafsets.append(set(el.leaves))
-    for i, j in itertools.combinations(g.vertices(), 2):
-        if g.has_edge(i, j):
-            continue
-        if i in clique_members or j in clique_members:
-            continue
-        if i in centers or j in centers:
-            continue
-        if any(i in ls and j in ls for ls in star_leafsets):
-            continue
-        return False
-    return True
+            touched |= 1 << el.center
+            leaf_pairs |= _within(g.n, _mask(el.leaves))
+    untouched = _mask(g.vertices()) & ~touched
+    return not _within(g.n, untouched) & ~g.edge_items() & ~leaf_pairs
 
 
 def star_tree_rank_01(m: DissimilarityMatrix) -> Rank01Result:
@@ -362,17 +323,12 @@ def star_tree_rank_01(m: DissimilarityMatrix) -> Rank01Result:
     """
     _require_zero_one(m)
     n = m.n
-    g = ZeroOneGraph.from_matrix(m)
-    r, cover, solid, solid_cover = min_clique_star_cover(g)
+    r, cover, solid, solid_cover = min_clique_star_cover(ZeroOneGraph.from_matrix(m))
     use = solid_cover if solid else cover
     summands = [star_summand(_star_cover_vector(el, n)) for el in use]
     if solid:
         dec = certify(m, Decomposition(STAR, tuple(summands)))
         return Rank01Result(r, tuple(use), dec, cover_size=r, solid=True)
-    if summands:
-        if trop_sum_all([s.matrix for s in summands]) == m:
-            dec = certify(m, Decomposition(STAR, tuple(summands)))
-            return Rank01Result(r, tuple(use), dec, cover_size=r, solid=False)
     summands.append(star_summand([frac("1/2")] * n))
     dec = certify(m, Decomposition(STAR, tuple(summands)))
     return Rank01Result(r + 1, tuple(use), dec, cover_size=r, solid=False)
@@ -396,43 +352,51 @@ def _star_cover_vector(el: CoverElement, n: int) -> list[Fraction]:
     return out
 
 
-def _multipartite_candidates(g: ZeroOneGraph) -> list[tuple[CoverElement, frozenset]]:
-    """Canonical complete multipartite subgraphs, one per vertex subset.
+def _multipartite_candidates(g: ZeroOneGraph, edges: int) -> dict[int, list[int]]:
+    """The canonical complete multipartite subgraphs, one per vertex subset:
+    each undominated footprint (item mask) with its parts (vertex masks).
 
     For a subset S the finest valid partition is into connected components
     of the complement restricted to S (non-edges must stay inside parts);
-    it covers the most edges, so other partitions of S are dominated.
+    it covers the most edges, so other partitions of S are dominated.  The
+    footprint is the pairs within S minus the pairs within each part.
     """
-    best: dict[frozenset, tuple[CoverElement, frozenset]] = {}
-    for size in range(2, g.n + 1):
+    n = g.n
+    parts_of: dict[int, list[int]] = {}
+    for size in range(2, n + 1):
         for subset in itertools.combinations(g.vertices(), size):
-            comps = _complement_components(sum(1 << v for v in subset), g.adj)
-            parts = tuple(sorted(tuple(_bits(p)) for p in comps))
-            if len(parts) < 2:
+            vertices = _mask(subset)
+            comps = _complement_components(vertices, g.adj)
+            if len(comps) < 2:
                 continue
-            el = CoverElement(MULTIPARTITE, parts=parts)
-            footprint = el.edge_footprint()
-            if not footprint <= g.edges:
+            footprint = _within(n, vertices)
+            for comp in comps:
+                footprint &= ~_within(n, comp)
+            if footprint & ~edges:
                 raise CertificateError("multipartite footprint escaped the graph")
-            if footprint and footprint not in best:
-                best[footprint] = (el, footprint)
-    # Drop dominated footprints.
-    items = list(best.values())
-    keep = []
-    for el, fp in items:
-        if not any(fp < fp2 for _, fp2 in items):
-            keep.append((el, fp))
-    return keep
+            if footprint and footprint not in parts_of:
+                parts_of[footprint] = comps
+    # Drop dominated footprints: a footprint inside a larger one is inside a kept one.
+    kept: list[int] = []
+    for footprint in sorted(parts_of, key=int.bit_count, reverse=True):
+        if all(footprint & ~k for k in kept):
+            kept.append(footprint)
+    keep = set(kept)
+    return {fp: parts for fp, parts in parts_of.items() if fp in keep}
 
 
 def min_multipartite_cover(g: ZeroOneGraph) -> tuple[int, list[CoverElement]]:
     """Fewest complete multipartite subgraphs covering every edge."""
-    edges = sorted_edges(g)
+    edges = g.edge_items()
     if not edges:
         return 0, []
-    candidates = _multipartite_candidates(g)
-    best = _exact_min_cover(_item_masks(edges, (fp for _, fp in candidates)), len(edges))
-    return len(best), [candidates[k][0] for k in best]
+    candidates = _multipartite_candidates(g, edges)
+    best = _exact_min_cover(list(candidates), edges)
+    parts = list(candidates.values())
+    return len(best), [
+        CoverElement(MULTIPARTITE, parts=tuple(sorted(tuple(_bits(p)) for p in parts[k])))
+        for k in best
+    ]
 
 
 def multipartite_tree(el: CoverElement, n: int) -> WeightedTree:
@@ -474,8 +438,7 @@ def tree_rank_01(m: DissimilarityMatrix) -> Rank01Result:
     g = ZeroOneGraph.from_matrix(m)
     r, cover = min_multipartite_cover(g)
     summands = [tree_summand(multipartite_tree(el, n)) for el in cover]
-    isolated = g.isolated_vertices()
-    if r > 0 and len(isolated) <= 1:
+    if r > 0 and g.adj[1:].count(0) <= 1:
         dec = certify(m, Decomposition(TREE, tuple(summands)))
         return Rank01Result(r, tuple(cover), dec, cover_size=r)
     summands.append(star_summand([frac("1/2")] * n))

@@ -55,7 +55,7 @@ class Summand:
     generator: Union[tuple[Fraction, ...], WeightedTree]
 
     def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "matrix": _rows_json(self.matrix)}
+        out: dict = {"kind": self.kind, "matrix": rows_json(self.matrix)}
         if isinstance(self.generator, WeightedTree):
             out["newick"] = self.generator.to_newick()
         else:
@@ -82,7 +82,8 @@ class Decomposition:
         }
 
 
-def _rows_json(m: Matrix) -> list[list[Optional[str]]]:
+def rows_json(m: Matrix) -> list[list[Optional[str]]]:
+    """The rows of m as JSON: entries as strings, None off the space."""
     return [[None if x is None else str(x) for x in row] for row in m.to_rows()]
 
 

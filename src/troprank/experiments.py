@@ -18,7 +18,7 @@ from typing import Optional
 
 from .core import DissimilarityMatrix, principal_submatrix
 from .covers import star_tree_rank_01
-from .decomposition import STAR, TREE
+from .decomposition import STAR, TREE, rows_json
 from .deficiency import build_deficiency, chromatic_number
 from .membership import PLUECKER
 from .rank import exact_rank
@@ -60,8 +60,7 @@ def rank7_search(trials: int, seed: int):
         chi = chromatic_number(build_deficiency(m, PLUECKER))
         best = max(best, int(chi))
         if chi >= 7:
-            rows = [[None if x is None else str(x) for x in row] for row in m.to_rows()]
-            candidates.append(Rank7Candidate(trial, int(chi), rows))
+            candidates.append(Rank7Candidate(trial, int(chi), rows_json(m)))
     return candidates, best
 
 
@@ -131,7 +130,7 @@ def solid_cover_weakening_flag(m: DissimilarityMatrix) -> Optional[dict]:
     if exact.value == cover_result.value:
         return None
     return {
-        "matrix": [[None if x is None else str(x) for x in row] for row in m.to_rows()],
+        "matrix": rows_json(m),
         "cover_bound": cover_result.value,
         "exact_rank": exact.value,
         "cover_size": cover_result.cover_size,

@@ -32,11 +32,15 @@ with no rank to search, r = 1 the membership test and the symmetric 0/1
 cover formula's infinite witness `membership.finiteness_violation`'s sorted
 pair; a script checked that each equals its `exact` twin before the re-pin.
 The `star5-rank1 tree` answers now carry `realize_tree`'s tree, not a binary
-LP shape with a zero-length edge.
+LP shape with a zero-length edge.  The cover pin, over `compute_rank` on
+seeded 0/1 inputs of all three notions (n = 3..8), was recorded while the
+graph still kept a set of edges next to its adjacency masks, before every
+cover item became a bit and every candidate footprint an item mask.
 """
 
 import ast
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -579,6 +583,40 @@ def test_upper_constructions_are_pinned():
     for dec in _constructions():
         digest.update(json.dumps(dec.to_json_dict()).encode())
     assert digest.hexdigest() == CONSTRUCTION_PIN
+
+
+# sha256 of the JSON of `compute_rank(m, notion)` over `_zero_one_inputs()`.
+COVER_PIN = "a5d8e7a0f7c67f3649953ba47169168a47568cb7daa107ed58b25818a3c7cdd9"
+
+
+def _zero_one_inputs():
+    """Seeded 0/1 inputs answered by the cover formulas, n = 3..8 at zero
+    densities 0.2, 0.5 and 0.8: each dissimilarity under star and tree
+    rank; symmetric inputs with a zero diagonal, with random diagonal
+    ones, and with diagonal-one rows made all ones (a finite rank)."""
+    rng = random.Random(19)
+    for n in range(3, 9):
+        for density in (0.2, 0.5, 0.8):
+            for _ in range(6):
+                zero = {p: rng.random() < density for p in itertools.combinations(range(1, n + 1), 2)}
+                d = DissimilarityMatrix.from_function(n, lambda i, j: 0 if zero[min(i, j), max(i, j)] else 1)
+                yield d, "star"
+                yield d, "tree"
+                ones = {v for v in range(1, n + 1) if rng.random() < 0.3}
+                for full_rows in (False, True):
+                    yield SymmetricMatrix.from_function(
+                        n,
+                        lambda i, j: 1
+                        if (i == j and i in ones) or (full_rows and {i, j} & ones)
+                        else (0 if i == j or zero[min(i, j), max(i, j)] else 1),
+                    ), "sym"
+
+
+def test_cover_answers_are_pinned():
+    digest = hashlib.sha256()
+    for m, notion in _zero_one_inputs():
+        digest.update(json.dumps(compute_rank(m, notion).to_json_dict()).encode())
+    assert digest.hexdigest() == COVER_PIN
 
 
 def test_library_matches_cli(tmp_path, capsys):

@@ -21,8 +21,8 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .core import INFINITE, DissimilarityMatrix, Matrix, SymmetricMatrix, project
-from .decomposition import NOTIONS, STAR, SYM, TREE, verify_matrices
+from .core import INFINITE, Matrix, SymmetricMatrix, project
+from .decomposition import NOTIONS, SYM, TREE, space_for, verify_matrices
 from .deficiency import build_deficiency, chromatic_number
 from .dimension import dimension_report
 from .generators import GENERATORS, generate, random_matrix
@@ -30,12 +30,11 @@ from .matrixio import MatrixFormatError, load_matrix, parse_matrix, serialize_ma
 from .membership import BASES
 from .rank import (
     METHODS,
+    _upper_for_search,
     check_space,
     compute_rank,
     exact_rank,
     finiteness_violation,
-    star_upper_decomposition,
-    symmetric_upper_decomposition,
     tree_upper_decomposition,
 )
 
@@ -69,23 +68,17 @@ def cmd_decompose(args) -> int:
     m = _load(args.file)
     notion = args.notion
     check_space(m, notion)
+    # The pair `exact_rank` reports as its infinite witness.
+    violation = finiteness_violation(m) if notion == SYM else None
+    if violation is not None:
+        _emit({"error": "infinite rank", "violating_pair": list(violation)})
+        return EXIT_INFINITE
     if args.minimize:
-        result = exact_rank(m, notion)
-        if result.status == "infinite":
-            _emit({"error": "infinite rank", "violating_pair": list(result.infinite_witness)})
-            return EXIT_INFINITE
-        dec = result.decomposition
+        dec = exact_rank(m, notion).decomposition
+    elif notion == TREE:
+        dec = tree_upper_decomposition(m)
     else:
-        if notion == SYM:
-            violation = finiteness_violation(m)
-            if violation is not None:
-                _emit({"error": "infinite rank", "violating_pair": list(violation)})
-                return EXIT_INFINITE
-            dec = symmetric_upper_decomposition(m)
-        elif notion == STAR:
-            dec = star_upper_decomposition(m)
-        else:
-            dec = tree_upper_decomposition(m)
+        dec = _upper_for_search(m, notion)
     _emit(dec.to_json_dict())
     return EXIT_OK
 
@@ -170,10 +163,7 @@ def cmd_verify(args) -> int:
         rows = s.get("matrix")
         if rows is None:
             raise MatrixFormatError("summand without a matrix")
-        if notion == SYM:
-            matrices.append(SymmetricMatrix.from_rows(rows))
-        else:
-            matrices.append(DissimilarityMatrix.from_rows(rows))
+        matrices.append(space_for(notion).from_rows(rows))
     report = verify_matrices(m, matrices, notion)
     _emit(report.to_json_dict())
     return EXIT_OK if report.ok else 1

@@ -24,11 +24,12 @@ INFINITE = math.inf
 def frac(value) -> Fraction:
     """Coerce an int, string ("7", "-3/4") or Fraction to an exact rational.
 
-    Floats are rejected: rounding would make min-ties undecidable.
+    Floats are rejected: rounding would make min-ties undecidable.  So are
+    bools, which are ints to Python but no entry a matrix file means.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

@@ -106,8 +106,8 @@ def tree_upper_decomposition(m: DissimilarityMatrix) -> Decomposition:
     One summand whenever the four-point condition already holds;
     n = 5: the search's minimal decomposition (at most three trees);
     otherwise the search's upper bound: the star construction for n = 4,
-    the three-block matching split for n = 6, and the peel to the leading
-    6x6 block for n >= 7.
+    and for n >= 6 three 4x4 blocks from a minimal matching of the leading
+    6x6 block, embedded into n leaves, plus one star per further index.
     """
     one = one_summand(m, TREE)
     if one is not None:

@@ -5,17 +5,17 @@ This layer sits below the cover formulas (`covers`) and the solver
 (`rank`), which both build on it.  It owns diagonal normalization for
 symmetric matrices, the one-summand certificate of an input on the variety
 (`one_summand`), the inductive symmetric construction (max(n, n^2/4)
-summands), the star peel (n - 2), the 6x6 matching split (3) and the tree
-peel to the leading 6x6 block (n - 3).  These sizes depend on n alone
-(`upper_size`), and each construction raises if it misses its size.
-`rank.tree_upper_decomposition` takes the search's decomposition at n = 5.
+summands), the star peel (n - 2) and, from n = 6, the tree construction
+from a minimal matching of the leading 6x6 block (n - 3).  These sizes
+depend on n alone (`upper_size`), and each construction raises if it
+misses its size.  `rank.tree_upper_decomposition` takes the search's
+decomposition at n = 5.
 
 Each bound has one construction, split into a fixed part built once (the
 symmetric partial generators of one recursion, the 3x3 star generator,
-the matching split's three 4x4 blocks on the input's own labels, the peel's
-6x6 base) and a padding step.  Only the padding step goes through
-`decomposition.verified_padded`, which verifies each result and retries
-with a doubled constant.
+the matching's three 4x4 blocks on the input's own labels) and a padding
+step.  Only the padding step goes through `decomposition.verified_padded`,
+which verifies each result and retries with a doubled constant.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .decomposition import (
     verified_padded,
 )
 from .membership import finiteness_violation, pfaffian_minimizers
-from .trees import WeightedTree, embed_tree_block, realize_tree
+from .trees import embed_tree_block, realize_tree
 
 
 def symmetric_rank_finite(m: SymmetricMatrix) -> bool:
@@ -85,9 +85,7 @@ def upper_size(notion: str, n: int) -> int:
     """The number of summands `_upper_for_search` returns at size n."""
     if notion == SYM:
         return max(n, n * n // 4)
-    if notion == STAR or n <= 5:
-        return n - 2
-    return 3 if n == 6 else n - 3
+    return n - 2 if notion == STAR or n <= 5 else n - 3
 
 
 def _sized(dec: Decomposition, n: int) -> Decomposition:
@@ -206,17 +204,19 @@ def star_upper_decomposition(m: DissimilarityMatrix) -> Decomposition:
 # --- tree upper bound ------------------------------------------------------
 
 
-def _matching_split(m: DissimilarityMatrix) -> Decomposition:
-    """Three tree summands for any 6x6 input, split along a minimal matching.
+def _matching_peel(m: DissimilarityMatrix) -> Decomposition:
+    """n - 3 tree summands for any input with n >= 6: three from a minimal
+    matching of the leading 6x6 block, one star per further index.
 
-    With the minimal perfect matching's pairs in order P0, P1, P2, each
-    block lives on two pairs: it keeps the entry of one pair Pt and closes
-    the next pair P(t+1 mod 3) with the smaller of its two cross pairings
-    minus the kept entry, which the matching minimality makes dominant.
-    The blocks sit on the input's own labels; only their embedding into
-    six leaves depends on the padding constant.
+    With the block's minimal perfect matching's pairs in order P0, P1, P2,
+    each 4x4 block lives on two pairs: it keeps the entry of one pair Pt and
+    closes the next pair P(t+1 mod 3) with the smaller of its two cross
+    pairings minus the kept entry, which the matching minimality makes
+    dominant.  The blocks sit on the input's own labels; only their
+    embedding into n leaves and the stars depend on the padding constant.
     """
-    pairs = sorted(pfaffian_minimizers(m))[0]
+    n = m.n
+    pairs = sorted(pfaffian_minimizers(principal_submatrix(m, range(1, 7))))[0]
     blocks = []
     # Summand order: the blocks on P0 P1, P0 P2 and P1 P2.
     for keep, close in ((0, 1), (2, 0), (1, 2)):
@@ -232,26 +232,7 @@ def _matching_split(m: DissimilarityMatrix) -> Decomposition:
         blocks.append((block, leaves))
 
     def build(c: Fraction) -> Decomposition:
-        return Decomposition(
-            TREE,
-            tuple(tree_summand(embed_tree_block(block, leaves, 6, c)) for block, leaves in blocks),
-        )
-
-    return verified_padded(m, build, 1 + m.max_abs_entry())
-
-
-def _tree_peel_decomposition(m: DissimilarityMatrix) -> Decomposition:
-    """Reduce to the leading 6x6 block, one star summand per peeled index."""
-    n = m.n
-    base = _matching_split(principal_submatrix(m, range(1, 7)))
-    if not all(isinstance(s.generator, WeightedTree) for s in base.summands):
-        raise CertificateError("the 6x6 matching split returned a summand without a tree")
-
-    def build(c: Fraction) -> Decomposition:
-        summands = [
-            tree_summand(embed_tree_block(s.matrix, (1, 2, 3, 4, 5, 6), n, c))
-            for s in base.summands
-        ]
+        summands = [tree_summand(embed_tree_block(block, leaves, n, c)) for block, leaves in blocks]
         for i in range(7, n + 1):
             summands.append(star_summand([c + m[(i, j)] if j != i else -c for j in range(1, n + 1)]))
         return Decomposition(TREE, tuple(summands))
@@ -266,7 +247,7 @@ def _upper_for_search(m: Matrix, notion: str) -> Decomposition:
     if notion == STAR:
         return star_upper_decomposition(m)
     # Tree: stay independent of the small-case classifiers; star summands
-    # are tree summands, and from n = 6 the matching split applies.
+    # are tree summands, and from n = 6 the leading block's matching applies.
     if m.n <= 5:
         return Decomposition(TREE, star_upper_decomposition(m).summands)
-    return _sized(_matching_split(m) if m.n == 6 else _tree_peel_decomposition(m), m.n)
+    return _sized(_matching_peel(m), m.n)

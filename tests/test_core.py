@@ -43,8 +43,10 @@ class TestExactScalars:
         assert serialize_matrix(m) == "symmetric 2\n7 1/3\n1/3 0\n"
 
     def test_floats_rejected(self):
-        with pytest.raises(TypeError):
-            frac(0.5)
+        # JSON true is no entry either, though Python's bool is an int.
+        for value in (0.5, True):
+            with pytest.raises(TypeError):
+                frac(value)
 
     def test_zero_denominator_is_a_value_error(self):
         with pytest.raises(ValueError, match="zero denominator"):

@@ -177,8 +177,23 @@ class TestCli:
             [{"notion": "star"}],
             {"notion": "star", "summands": [5]},
             {"notion": "star", "summands": {"matrix": [[None]]}},
+            # `generate min 5` itself, one tree summand, with JSON true for "1".
+            {
+                "notion": "tree",
+                "summands": [
+                    {
+                        "matrix": [
+                            [None, True, "1", "1", "1"],
+                            [True, None, "2", "2", "2"],
+                            ["1", "2", None, "3", "3"],
+                            ["1", "2", "3", None, "4"],
+                            ["1", "2", "3", "4", None],
+                        ]
+                    }
+                ],
+            },
         ],
-        ids=["top-level-array", "summand-not-object", "summands-object"],
+        ids=["top-level-array", "summand-not-object", "summands-object", "true-entry"],
     )
     def test_verify_malformed_file_is_a_format_error(self, tmp_path, payload):
         mpath = tmp_path / "m.diss"

@@ -36,6 +36,11 @@ LP shape with a zero-length edge.  The cover pin, over `compute_rank` on
 seeded 0/1 inputs of all three notions (n = 3..8), was recorded while the
 graph still kept a set of edges next to its adjacency masks, before every
 cover item became a bit and every candidate footprint an item mask.
+The construction pin was recorded again when the tree bound at n >= 7
+stopped realizing the leading 6x6 block's summands a second time and
+embedded the matching's 4x4 blocks into n leaves directly; a script
+checked first that every construction verifies with `upper_size`
+summands and that `tree_upper_decomposition` keeps its sizes.
 """
 
 import ast
@@ -131,8 +136,8 @@ MATRICES = {
     ],
     # Tree rank 2 (the minimum of two rational tree metrics) and 3, both
     # below `upper_size`: `exact` emits LP tree witnesses, `bounds` the
-    # matching split (n = 6) or the peel to the leading 6x6 block (n = 7),
-    # whose blocks go through `realize_tree`.
+    # three matching blocks of the leading 6x6 block (n = 6), plus one star
+    # for index 7 (n = 7); the blocks go through `realize_tree`.
     "tree6-rational": [
         [_, 4, -2, "8/3", "-2/3", "8/3"], [4, _, -2, "1/2", "-2/3", 0],
         [-2, -2, _, "-10/3", -1, "-4/3"], ["8/3", "1/2", "-10/3", _, -2, "1/2"],
@@ -145,8 +150,9 @@ MATRICES = {
         [4, 3, 1, 0, 2, 0, _],
     ],
     # Tree rank 4, below `upper_size` 5: `exact` emits four LP tree
-    # witnesses, `bounds` the peel at n = 8 (the 6x6 matching split plus
-    # two star summands for the peeled indices 7 and 8).
+    # witnesses, `bounds` the tree construction at n = 8 (the leading 6x6
+    # block's three matching blocks plus two star summands for indices 7
+    # and 8).
     "tree8-rational": [
         [_, "-1/3", 9, 1, 2, "4/3", 3, -1],
         ["-1/3", _, "-3/2", 1, 9, 4, "1/3", 9],
@@ -553,7 +559,7 @@ def test_realize_tree_newick_is_pinned(seed):
 
 
 # sha256 of the JSON of every construction in `_constructions()`.
-CONSTRUCTION_PIN = "e1b9611e3e09f674959f305a1d04783b62c1466a7c59067976ada4ad72d95a55"
+CONSTRUCTION_PIN = "58a2d171d775d59d0ab6335be2354e634209a9e875881afb8a1966e2ba4ce888"
 
 
 def _constructions():

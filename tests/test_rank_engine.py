@@ -205,7 +205,7 @@ class TestTreeUpper:
         assert len(dec) == 6 and verify(m, dec)
 
     def test_random_instances_by_size(self, rng):
-        bounds = {3: 1, 4: 2, 5: 3, 6: 3, 7: 4}
+        bounds = {3: 1, 4: 2, 5: 3, 6: 3, 7: 4, 8: 5, 9: 6, 10: 7}
         for n, bound in bounds.items():
             for _ in range(10):
                 m = random_dissimilarity(rng, n)
@@ -213,18 +213,29 @@ class TestTreeUpper:
                 assert verify(m, dec)
                 assert len(dec) <= bound
 
-    def test_peel_rejects_a_base_summand_without_a_tree(self, rng, monkeypatch):
-        # The peel embeds the 6x6 block's trees; a star summand in their
-        # place is an internal fault (exit 5), also under python -O.
-        import troprank.upper as upper_module
+    def test_bound_realizes_only_the_matching_blocks(self, monkeypatch):
+        # From n = 7 on, the bound embeds the leading 6x6 block's three 4x4
+        # matching blocks straight into n leaves: no 6x6 tree is realized.
+        import troprank.trees as trees_module
 
-        monkeypatch.setattr(
-            upper_module,
-            "_matching_split",
-            lambda m: Decomposition(TREE, star_upper_decomposition(m).summands),
-        )
-        with pytest.raises(CertificateError, match="without a tree"):
-            tree_upper_decomposition(random_dissimilarity(rng, 7))
+        sizes = []
+        realize = trees_module._realize_scaled
+
+        def recording(n, values):
+            sizes.append(n)
+            return realize(n, values)
+
+        monkeypatch.setattr(trees_module, "_realize_scaled", recording)
+        rng = random.Random(20)
+        for n in range(7, 11):
+            for _ in range(5):
+                m = DissimilarityMatrix.from_function(
+                    n, lambda i, j: Fraction(rng.randint(0, 6), rng.choice((1, 2, 3)))
+                )
+                dec = _upper_for_search(m, TREE)
+                assert len(dec) == n - 3 and verify(m, dec)
+                assert all(is_tree_matrix(s.matrix) for s in dec.summands)
+        assert sizes and set(sizes) == {4}
 
 
 class TestExactRank:

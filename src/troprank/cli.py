@@ -5,7 +5,8 @@ determination, 1 when `verify` rejects a decomposition, 2 for usage or
 parse errors, 3 when only an interval could be certified, 4 for infinite
 rank (a determination scripts can branch on), 5 when an internal check
 fails (any `RuntimeError`: `CertificateError`, `ConstructionError`,
-`RecursionError`), with `error: ...` on stderr.
+`RecursionError`) or memory runs out (`MemoryError`), with `error: ...` on
+stderr.
 
 `rank` only parses and emits; the file-kind check and the method dispatch
 live in `troprank.rank.compute_rank`.
@@ -267,7 +268,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, ValueError, TypeError) as exc:  # MatrixFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -25,6 +25,7 @@ from .core import (
     SymmetricMatrix,
     frac,
     pad_generator,
+    principal_submatrix,
 )
 from .decomposition import (
     CertificateError,
@@ -249,10 +250,7 @@ def symmetric_rank_01(m: SymmetricMatrix) -> Rank01Result:
         # All-ones matrix: one rank-one summand from the constant 1/2 vector.
         dec = certify(m, Decomposition(SYM, (rank1_summand([frac("1/2")] * n),)))
         return Rank01Result(1, (), dec)
-    sub = SymmetricMatrix.from_function(
-        len(zero_diag), lambda a, b: m[(zero_diag[a - 1], zero_diag[b - 1])]
-    )
-    inner = symmetric_rank_01(sub)
+    inner = symmetric_rank_01(principal_submatrix(m, zero_diag))
     summands = []
     c = 2 + m.max_abs_entry()
     for s in inner.decomposition.summands:

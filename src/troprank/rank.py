@@ -548,16 +548,11 @@ def _binary_topologies(n: int) -> tuple[_Topology, ...]:
 def _split_masks(n: int) -> tuple[tuple[int, int, int], ...]:
     """masks[q][c]: bit t set when the t-th shape of `_binary_topologies(n)`
     has split code c on the q-th quartet."""
-    topologies = _binary_topologies(n)
-    count = len(quartets(n))
-    table = b"".join(t.splits for t in topologies)  # row t holds shape t's codes
-    # Per code c, a column of codes becomes binary digits: "1" where it is c.
-    digits = [bytes.maketrans(b"\x00\x01\x02", ones) for ones in (b"100", b"010", b"001")]
-    masks = []
-    for q in range(count):
-        column = table[q::count][::-1]  # the last shape is the highest bit
-        masks.append(tuple(int(column.translate(d), 2) for d in digits))
-    return tuple(masks)
+    masks = [[0, 0, 0] for _ in quartets(n)]
+    for t, shape in enumerate(_binary_topologies(n)):
+        for q, code in enumerate(shape.splits):
+            masks[q][code] |= 1 << t
+    return tuple(map(tuple, masks))
 
 
 def _candidate_topologies(n: int, forced: Sequence[tuple[int, int]]):

@@ -5,8 +5,9 @@ three pairings M_ij+M_kl, M_ik+M_jl, M_il+M_jk is attained at least twice
 for every quadruple.  Such matrices are exactly the leaf-distance matrices
 of trees whose internal edges carry nonpositive weights (pendant edges are
 unrestricted).  Negating entries turns this into the classical four-point
-condition with nonnegative internal weights, which is the orientation the
-insertion algorithm below works in.
+condition with nonnegative internal weights.  Realization works there,
+shifted so that pendant edges are nonnegative too: lengths then grow along
+every path, and each new leaf is placed by one walk along a host path.
 
 The arithmetic runs on integer-scaled values (the four-point test,
 leaf distances, leaf insertion); `Fraction`s are built on exit only.
@@ -156,38 +157,17 @@ class WeightedTree:
         return DissimilarityMatrix(n, tuple(values))
 
     def simplified(self) -> "WeightedTree":
-        """Contract zero-weight internal edges and unsplice degree-2 internals."""
+        """Unsplice degree-2 internal vertices.  Unsplicing keeps every other
+        vertex's degree, so one pass over the vertices finds them all."""
         t = self.copy()
-        changed = True
-        while changed:
-            changed = False
-            for u, v, w in t.edges():
-                if w == 0 and not t.is_leaf(u) and not t.is_leaf(v):
-                    t._contract(u, v)
-                    changed = True
-                    break
-            else:
-                for v in list(t.adjacency):
-                    if not t.is_leaf(v) and t.degree(v) == 2:
-                        (a, wa), (b, wb) = t.adjacency[v].items()
-                        del t.adjacency[v]
-                        del t.adjacency[a][v]
-                        del t.adjacency[b][v]
-                        # Parallel edges cannot arise: a-v-b was a path in a tree.
-                        t.adjacency[a][b] = wa + wb
-                        t.adjacency[b][a] = wa + wb
-                        changed = True
-                        break
+        for v in list(t.adjacency):
+            if not t.is_leaf(v) and t.degree(v) == 2:
+                (a, wa), (b, wb) = t.adjacency.pop(v).items()
+                del t.adjacency[a][v]
+                del t.adjacency[b][v]
+                # Parallel edges cannot arise: a-v-b was a path in a tree.
+                t.adjacency[a][b] = t.adjacency[b][a] = wa + wb
         return t
-
-    def _contract(self, keep: int, drop: int) -> None:
-        del self.adjacency[keep][drop]
-        del self.adjacency[drop][keep]
-        for nb, w in self.adjacency.pop(drop).items():
-            # In a tree keep and nb cannot already be adjacent.
-            del self.adjacency[nb][drop]
-            self.adjacency[keep][nb] = w
-            self.adjacency[nb][keep] = w
 
     def relabelled_leaves(self, mapping: dict[int, int], n_leaves: int) -> "WeightedTree":
         """Rename leaves through `mapping`; internal labels move above n_leaves."""
@@ -227,12 +207,13 @@ def _add_edge(adj: dict[int, dict[int, Fraction]], u: int, v: int, w: Fraction) 
 def realize_tree(m: DissimilarityMatrix) -> WeightedTree:
     """Build a weighted tree whose leaf distances equal `m` exactly.
 
-    Works in the negated (classical) orientation: insert leaves one at a
-    time, locating each attachment point by the smallest Gromov-type sum
-    over pairs of placed leaves, then trying every split position along
-    the host path and keeping the one that reproduces all distances.
-    The exhaustive split trial sidesteps non-monotone cumulative lengths
-    caused by negative pendant weights.
+    Works in the negated (classical) orientation, shifted so that no edge
+    is negative and lengths grow along every path.  Leaves are inserted one
+    at a time: the smallest Gromov-type sum over pairs of placed leaves
+    gives a pair i, j and the attachment point's distance from i, and one
+    walk along the i-j path finds the edge that reaches it.  The leaf
+    splits that edge, or hangs off its end if the end is the point, so no
+    internal edge has weight 0 and no internal vertex has degree 2.
 
     It runs on the even integers 2 * scale * m (scale: the lcm of the
     entries' denominators), so each halving is exact and every comparison,
@@ -262,35 +243,48 @@ def _realize_scaled(n: int, values: dict[Position, int]) -> WeightedTree:
     violation = _violation(n, values)
     if violation is not None:
         raise NotTreeMatrixError(f"four-point condition fails on quadruple {violation}")
-    d = {p: -v for p, v in values.items()}  # the classical orientation
+    # The classical orientation, shifted by 2k.  A pendant edge is at least
+    # -(3/2) max|v| there, so adding k = 2 max|v| makes no edge negative;
+    # k is even, so every halving stays exact.
+    k = 2 * max(map(abs, values.values()))
+    d = {p: 2 * k - v for p, v in values.items()}
 
     # Base: three leaves around a hub.
-    next_id = n + 1
     tree = WeightedTree(n_leaves=n)
-    hub = next_id
-    next_id += 1
-    _add_edge(tree.adjacency, 1, hub, (d[1, 2] + d[1, 3] - d[2, 3]) // 2)
-    _add_edge(tree.adjacency, 2, hub, (d[1, 2] + d[2, 3] - d[1, 3]) // 2)
-    _add_edge(tree.adjacency, 3, hub, (d[1, 3] + d[2, 3] - d[1, 2]) // 2)
+    adjacency = tree.adjacency
+    hub = n + 1
+    _add_edge(adjacency, 1, hub, (d[1, 2] + d[1, 3] - d[2, 3]) // 2)
+    _add_edge(adjacency, 2, hub, (d[1, 2] + d[2, 3] - d[1, 3]) // 2)
+    _add_edge(adjacency, 3, hub, (d[1, 3] + d[2, 3] - d[1, 2]) // 2)
 
     for x in range(4, n + 1):
-        placed = range(1, x)
         # x >= 4, so at least three leaves are placed and there is a pair;
         # ties go to the first pair in combinations order.
         alpha, i, j = min(
             ((d[i, x] + d[j, x] - d[i, j]) // 2, i, j)
-            for i, j in itertools.combinations(placed, 2)
+            for i, j in itertools.combinations(range(1, x), 2)
         )
-        path = _tree_path(tree, i, j)
         u = d[i, x] - alpha  # distance from i to the attachment point
-        if not _try_insert(tree, path, x, u, alpha, placed, d, next_id):
+        path = _tree_path(tree, i, j)
+        for a, b in zip(path, path[1:]):
+            w = adjacency[a][b]
+            if u <= w:
+                break
+            u -= w
+        else:
             raise NotTreeMatrixError("tree insertion failed; matrix is not a tree metric")
-        next_id += 1
+        if u < w:  # split a-b at distance u from a
+            split = n + x - 2
+            del adjacency[a][b], adjacency[b][a]
+            _add_edge(adjacency, a, split, u)
+            _add_edge(adjacency, split, b, w - u)
+            b = split
+        _add_edge(adjacency, x, b, alpha)
 
-    tree = tree.simplified()
-    for nb in tree.adjacency.values():
-        for v, w in nb.items():
-            nb[v] = -w
+    # Undo the shift on the pendant edges, then the negation.
+    for a, nb in adjacency.items():
+        for b, w in nb.items():
+            nb[b] = (k if a <= n or b <= n else 0) - w
     return tree
 
 
@@ -310,32 +304,6 @@ def _tree_path(tree: WeightedTree, i: int, j: int) -> list[int]:
         path.append(parent[path[-1]])
     path.reverse()
     return path
-
-
-def _try_insert(tree, path, x, u, alpha, placed, d, next_id) -> bool:
-    cumulative = [0]
-    for a, b in zip(path, path[1:]):
-        cumulative.append(cumulative[-1] + tree.adjacency[a][b])
-    for t in range(len(path) - 1):
-        a, b = path[t], path[t + 1]
-        delta = u - cumulative[t]
-        saved = tree.adjacency[a][b]
-        split = next_id
-        # Split a-b at distance delta from a, hang x off the split point.
-        del tree.adjacency[a][b]
-        del tree.adjacency[b][a]
-        _add_edge(tree.adjacency, a, split, delta)
-        _add_edge(tree.adjacency, split, b, saved - delta)
-        _add_edge(tree.adjacency, x, split, alpha)
-        dist = tree.distances_from(x)
-        if all(dist[leaf] == d[leaf, x] for leaf in placed):
-            return True
-        del tree.adjacency[x]
-        del tree.adjacency[a][split]
-        del tree.adjacency[b][split]
-        del tree.adjacency[split]
-        _add_edge(tree.adjacency, a, b, saved)
-    return False
 
 
 def embed_tree_block(

@@ -7,12 +7,15 @@ import pytest
 
 from troprank.core import DissimilarityMatrix, SymmetricMatrix
 from troprank.covers import (
+    MULTIPARTITE,
+    CoverElement,
     ZeroOneGraph,
     _mask,
     _within,
     min_clique_cover,
     min_clique_star_cover,
     min_multipartite_cover,
+    multipartite_tree,
     star_tree_rank_01,
     symmetric_rank_01,
     tree_rank_01,
@@ -310,6 +313,29 @@ class TestMultipartiteCover:
                     for a in p1:
                         for b in p2:
                             assert g.has_edge(a, b)
+
+
+class TestMultipartiteTree:
+    @pytest.mark.parametrize(
+        "n, parts, internal",
+        [
+            # Covers every vertex: the hub, 6, is unspliced.
+            (5, ((1, 2), (3, 4, 5)), [7, 8]),
+            # The singleton parts' vertices, 7 and 9, are unspliced; 5 is uncovered.
+            (5, ((1,), (2, 3), (4,)), [6, 8]),
+        ],
+    )
+    def test_leaf_distances_are_the_zero_one_pattern(self, n, parts, internal):
+        tree = multipartite_tree(CoverElement(MULTIPARTITE, parts=parts), n)
+        tree.validate()
+        part_of = {v: k for k, part in enumerate(parts) for v in part}
+
+        def pattern(i, j):
+            return 0 if i in part_of and j in part_of and part_of[i] != part_of[j] else 1
+
+        assert tree.leaf_distance_matrix() == DissimilarityMatrix.from_function(n, pattern)
+        assert tree.vertices() == [*range(1, n + 1), *internal]
+        assert all(tree.degree(v) != 2 for v in tree.vertices())
 
 
 class TestTreeRank01:

@@ -8,9 +8,13 @@ import sys
 import pytest
 
 from troprank.cli import main
-from troprank.core import DissimilarityMatrix, SymmetricMatrix, frac
+from troprank.core import DissimilarityMatrix, SymmetricMatrix, frac, principal_submatrix
+from troprank.decomposition import TREE
+from troprank.deficiency import build_deficiency, chromatic_number
 from troprank.generators import generate, max_tree_rank_table, random_matrix, tr6_matrix
 from troprank.matrixio import MatrixFormatError, parse_matrix, serialize_matrix
+from troprank.membership import PLUECKER
+from troprank.rank import upper_size
 
 from conftest import random_dissimilarity, random_finite_symmetric, random_symmetric
 
@@ -93,6 +97,16 @@ class TestGenerators:
         by_n = {row["n"]: row for row in rows}
         assert by_n[9]["max_tree_rank"] == 6
         assert by_n[10]["status"] == "undetermined"
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_tr6_submatrix_witnesses_reach_the_bound(self, n):
+        # chi of the named principal submatrix of tr6 equals the tree upper
+        # bound n - 3, so its tree rank is n - 3.
+        row = {row["n"]: row for row in max_tree_rank_table()}[n]
+        assert len(row["indices"]) == n
+        m = principal_submatrix(tr6_matrix(), row["indices"])
+        chi = chromatic_number(build_deficiency(m, PLUECKER))
+        assert chi == upper_size(TREE, n) == row["max_tree_rank"]
 
 
 class TestCli:

@@ -681,7 +681,13 @@ def test_notion_choices_are_the_notions(capsys, command):
 
 
 @pytest.mark.parametrize(
-    "error", [CertificateError("bad certificate"), ConstructionError("no scale"), RecursionError("deep")]
+    "error",
+    [
+        CertificateError("bad certificate"),
+        ConstructionError("no scale"),
+        RecursionError("deep"),
+        MemoryError("out of memory"),
+    ],
 )
 def test_internal_errors_exit_five(tmp_path, capsys, monkeypatch, error):
     import troprank.cli as cli_module

@@ -31,6 +31,7 @@ from troprank.decomposition import (
     verify_matrices,
 )
 from troprank.generators import block_matrix, generate, tr6_blocks, tr6_matrix
+from troprank.matrixio import parse_matrix
 from troprank.membership import PLUECKER, is_tree_matrix
 from troprank.deficiency import build_deficiency, chromatic_number
 from troprank.rank import (
@@ -346,6 +347,42 @@ class TestExactRank:
             exact_rank(random_symmetric(rng, 4), TREE)
         with pytest.raises(ValueError):
             exact_rank(random_symmetric(rng, 4), "mystery")
+
+
+# A 7x7 tree rank 3 matrix whose seven 6x6 principal submatrices all have
+# tree rank 2: a counterexample to "tree rank <= 2 exactly when every 6x6
+# principal submatrix has tree rank <= 2".
+SUBMATRIX_COUNTEREXAMPLE = """dissimilarity 7
+*  -3  2 -8  1 -7 -5
+-3  *  5 -1 -2  0  2
+2  5  * -2  1 -1  1
+-8 -1 -2  * -7  1 -2
+1 -2  1 -7  * -6 -4
+-7  0 -1  1 -6  *  4
+-5  2  1 -2 -4  4  *
+"""
+
+
+class TestSubmatrixCounterexample:
+    def test_tree_rank_three_by_an_odd_cycle(self):
+        m = parse_matrix(SUBMATRIX_COUNTEREXAMPLE)
+        result = exact_rank(m, TREE)
+        assert (result.status, result.value) == ("finite", 3)
+        assert result.lower_certificate == {"type": "chromatic", "value": 3}
+        assert verify(m, result.decomposition)
+        # A 5-cycle of the Pluecker deficiency graph touching all seven indices.
+        cycle = [(3, 5), (1, 2), (3, 6), (4, 7), (1, 6)]
+        edges = build_deficiency(m, PLUECKER).graph_edges()
+        assert all(frozenset(e) in edges for e in zip(cycle, cycle[1:] + cycle[:1]))
+        assert {i for p in cycle for i in p} == set(range(1, 8))
+
+    def test_every_six_by_six_submatrix_has_tree_rank_two(self):
+        m = parse_matrix(SUBMATRIX_COUNTEREXAMPLE)
+        for drop in range(1, 8):
+            sub = principal_submatrix(m, [i for i in range(1, 8) if i != drop])
+            result = exact_rank(sub, TREE)
+            assert (result.value, len(result.decomposition)) == (2, 2)
+            assert verify(sub, result.decomposition)
 
 
 class TestVerify:

@@ -25,7 +25,7 @@ from . import __version__
 from .core import INFINITE, Matrix, SymmetricMatrix, project
 from .decomposition import NOTIONS, SYM, TREE, space_for, verify_matrices
 from .deficiency import build_deficiency, chromatic_number
-from .dimension import dimension_report
+from .dimension import dimension_formula, dimension_report
 from .generators import GENERATORS, generate, random_matrix
 from .matrixio import MatrixFormatError, load_matrix, parse_matrix, serialize_matrix
 from .membership import BASES
@@ -117,8 +117,9 @@ def cmd_generate(args) -> int:
 def cmd_dimension(args) -> int:
     notion = args.notion
     if args.grid:
+        dimension_formula(notion, args.n, 1)  # the --r mode's "need n >= ..." check
         rows = []
-        for n in range(3, args.n + 1):
+        for n in range(space_for(notion).min_n, args.n + 1):
             top = n // 2 if notion == TREE else n
             for r in range(1, top + 1):
                 report = dimension_report(notion, n, r, args.sample, args.seed)

@@ -7,13 +7,21 @@ have locally stable winners, making the parametrization affine near the
 sample.  The exact rank of that affine map (over the rationals) is the
 local dimension; it can never exceed the formula, and equals it at a
 generic point.
+
+Every parameter point is an integer vector and every candidate entry an
+integer-affine function of it, so the winners and the locked rows are
+integers.  Sym and star share one rank-one sampler: they differ in the
+positions (star drops the diagonal), in how star draws the coordinates
+past r (small, in units of 1/1009, with the rest scaled up by 1009), and
+in the exponent of the constant that stands for a missing coordinate.
+Tree stacks caterpillars over a recursively sampled lower-right block.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .core import Position, offdiag_positions, symmetric_positions
@@ -47,13 +55,18 @@ def dimension_formula(notion: str, n: int, r: int) -> int:
 
 
 # A candidate is (coefficient map over parameter indices, constant part).
-Candidate = tuple[dict[int, int], Fraction]
+Candidate = tuple[dict[int, int], int]
+
+
+def _value(theta: list[int], candidate: Candidate) -> int:
+    coeffs, const = candidate
+    return const + sum(theta[k] * c for k, c in coeffs.items())
 
 
 def _locked_rows(
-    theta: list[Fraction],
+    theta: list[int],
     candidates: dict[Position, list[Candidate]],
-) -> Optional[list[list[Fraction]]]:
+) -> Optional[list[list[int]]]:
     """Per-entry winning coefficient rows, or None when a winner is unstable.
 
     A minimum shared by candidates with different coefficient vectors moves
@@ -62,24 +75,12 @@ def _locked_rows(
     """
     rows = []
     for pos in sorted(candidates):
-        values = []
-        for coeffs, const in candidates[pos]:
-            values.append(
-                const + sum((theta[k] * c for k, c in coeffs.items()), Fraction(0))
-            )
+        values = [_value(theta, cand) for cand in candidates[pos]]
         lo = min(values)
-        winners = [
-            coeffs
-            for (coeffs, _), v in zip(candidates[pos], values)
-            if v == lo
-        ]
-        first = winners[0]
-        if any(w != first for w in winners[1:]):
+        winners = [coeffs for (coeffs, _), v in zip(candidates[pos], values) if v == lo]
+        if any(w != winners[0] for w in winners[1:]):
             return None
-        row = [Fraction(0)] * len(theta)
-        for k, c in first.items():
-            row[k] = Fraction(c)
-        rows.append(row)
+        rows.append([winners[0].get(k, 0) for k in range(len(theta))])
     return rows
 
 
@@ -95,7 +96,11 @@ def sampled_local_dimension(notion: str, n: int, r: int, trials: int = 10, seed:
     rng = random.Random(seed)
     best: Optional[int] = None
     for _ in range(trials):
-        theta, candidates = _sample(notion, n, r, rng)
+        theta: list[int] = []
+        if notion == TREE:
+            candidates = _tree_blocks(n, min(r, n // 2), rng, theta)
+        else:
+            candidates = _rank_one_candidates(notion, n, min(r, n), rng, theta)
         rows = _locked_rows(theta, candidates)
         if rows is None:
             continue
@@ -109,130 +114,74 @@ def sampled_local_dimension(notion: str, n: int, r: int, trials: int = 10, seed:
     return best
 
 
-def _sample(notion: str, n: int, r: int, rng: random.Random):
-    if notion == SYM:
-        return _sym_sample(n, r, rng)
-    if notion == STAR:
-        return _star_sample(n, r, rng)
-    return _tree_sample(n, r, rng)
-
-
 def _rank_one_candidates(
-    positions: list[Position], index: dict[tuple[int, int], int], r: int, big: Fraction
+    notion: str, n: int, r: int, rng: random.Random, theta: list[int]
 ) -> dict[Position, list[Candidate]]:
-    """Entry (i, j) of summand k is theta[index[k, i]] + theta[index[k, j]];
-    a summand k has no coordinate t < k, which counts as the constant `big`."""
-    candidates: dict[Position, list[Candidate]] = {}
-    for i, j in positions:
-        lst: list[Candidate] = []
-        for k in range(1, r + 1):
-            coeffs: dict[int, int] = {}
-            const = Fraction(0)
-            for t in (i, j):
-                if t < k:
-                    const += big
-                else:
-                    key = index[(k, t)]
-                    coeffs[key] = coeffs.get(key, 0) + 1
-            lst.append((coeffs, const))
-        candidates[(i, j)] = lst
-    return candidates
+    """Sums of r rank-one generators: entry (i, j) of summand k is
+    theta[k, i] + theta[k, j], and a summand k has no coordinate t < k,
+    which counts as the constant `big`.
 
-
-def _sym_sample(n: int, r: int, rng: random.Random):
-    r_eff = min(r, n)
-    unit = 1000
-    theta: list[Fraction] = []
+    Coordinate (k, i) with i <= r (every one, for sym) is drawn at scale
+    1000 * 100**(r - k + 1).  For star the coordinates past r are small,
+    in units of 1/1009: near 0 on the k-th pair of indices past r, near 2
+    elsewhere, so every other coordinate and `big` are scaled by 1009.
+    """
+    star = notion == STAR
+    unit = 1009 if star else 1
+    pairs = [(i, j) for i in range(r + 1, n + 1) for j in range(i + 1, n + 1)]
     index: dict[tuple[int, int], int] = {}
-    for k in range(1, r_eff + 1):
-        scale = unit * 100 ** (r_eff - k + 1)
+    for k in range(1, r + 1):
+        scale = 1000 * 100 ** (r - k + 1)
         for i in range(k, n + 1):
             index[(k, i)] = len(theta)
-            theta.append(Fraction(rng.randrange(scale, 2 * scale)))
-    big = Fraction(unit * 100 ** (r_eff + 2))
-    return theta, _rank_one_candidates(symmetric_positions(n), index, r_eff, big)
-
-
-def _star_sample(n: int, r: int, rng: random.Random):
-    r_eff = min(r, n)
-    unit = 1000
-    pairs = [
-        (i, j) for i in range(r_eff + 1, n + 1) for j in range(i + 1, n + 1)
-    ]
-    theta: list[Fraction] = []
-    index: dict[tuple[int, int], int] = {}
-    for k in range(1, r_eff + 1):
-        pair = pairs[k - 1] if k <= len(pairs) else None
-        scale = unit * 100 ** (r_eff - k + 1)
-        for i in range(k, n + 1):
-            index[(k, i)] = len(theta)
-            if i <= r_eff:
-                value = Fraction(rng.randrange(scale, 2 * scale))
-            elif pair is not None and i in pair:
-                value = Fraction(rng.randrange(1, 1008), 1009)
+            if i <= r or not star:
+                theta.append(unit * rng.randrange(scale, 2 * scale))
+            elif k <= len(pairs) and i in pairs[k - 1]:
+                theta.append(rng.randrange(1, 1008))
             else:
-                value = 2 + Fraction(rng.randrange(1, 1008), 1009)
-            theta.append(value)
-    big = Fraction(unit * 100 ** (r_eff + 3))
-    return theta, _rank_one_candidates(offdiag_positions(n), index, r_eff, big)
-
-
-def _tree_sample(n: int, r: int, rng: random.Random):
-    r_eff = max(1, min(r, n // 2))
-    theta: list[Fraction] = []
-    candidates = _tree_blocks(n, r_eff, rng, theta)
-    return theta, candidates
+                theta.append(2 * unit + rng.randrange(1, 1008))
+    big = unit * 1000 * 100 ** (r + 2 + star)
+    return {
+        (i, j): [
+            (Counter(index[k, t] for t in (i, j) if t >= k), big * ((i < k) + (j < k)))
+            for k in range(1, r + 1)
+        ]
+        for i, j in (offdiag_positions(n) if star else symmetric_positions(n))
+    }
 
 
 def _tree_blocks(
-    n: int, r: int, rng: random.Random, theta: list[Fraction]
+    n: int, r: int, rng: random.Random, theta: list[int]
 ) -> dict[Position, list[Candidate]]:
     """Caterpillar rows 1 and 2 over a recursively sampled lower-right block."""
     if n == 2:
-        idx = len(theta)
-        theta.append(Fraction(rng.randrange(1000, 2000)))
-        return {(1, 2): [({idx: 1}, Fraction(0))]}
+        theta.append(rng.randrange(1000, 2000))
+        return {(1, 2): [({len(theta) - 1: 1}, 0)]}
     if r == 1 or n <= 3:
-        return _caterpillar_candidates(n, rng, theta, Fraction(1000))
+        return _caterpillar_candidates(n, rng, theta, 1000)
     inner = _tree_blocks(n - 2, r - 1, rng, theta)
-    inner_peak = Fraction(0)
-    for lst in inner.values():
-        for coeffs, const in lst:
-            value = const + sum(
-                (theta[k] * c for k, c in coeffs.items()), Fraction(0)
-            )
-            inner_peak = max(inner_peak, abs(value))
-    scale = 1000 * (inner_peak + 1)
-    cat = _caterpillar_candidates(n, rng, theta, scale)
-    candidates: dict[Position, list[Candidate]] = {}
-    for i, j in offdiag_positions(n):
-        lst = list(cat[(i, j)])
-        if i >= 3:
-            lst.extend(inner[(i - 2, j - 2)])
-        candidates[(i, j)] = lst
-    return candidates
+    inner_peak = max(abs(_value(theta, cand)) for lst in inner.values() for cand in lst)
+    cat = _caterpillar_candidates(n, rng, theta, 1000 * (inner_peak + 1))
+    return {
+        (i, j): cat[i, j] + (inner[i - 2, j - 2] if i >= 3 else [])
+        for i, j in offdiag_positions(n)
+    }
 
 
 def _caterpillar_candidates(
-    n: int, rng: random.Random, theta: list[Fraction], scale: Fraction
+    n: int, rng: random.Random, theta: list[int], scale: int
 ) -> dict[Position, list[Candidate]]:
     """Distance functionals of the caterpillar with leaf order 1,3,...,n,2.
 
     Pendant weights p_i are fresh parameters at the given scale; internal
     weights q_3..q_{n-1} are small negative parameters.
     """
-    lo = int(scale)
-    p = {}
-    for i in range(1, n + 1):
-        p[i] = len(theta)
-        theta.append(Fraction(rng.randrange(lo, 2 * lo)))
-    q = {}
-    for t in range(3, n):
-        q[t] = len(theta)
-        theta.append(Fraction(-rng.randrange(1, 50)))
+    p = {i: len(theta) + i - 1 for i in range(1, n + 1)}
+    theta.extend(rng.randrange(scale, 2 * scale) for _ in p)
+    q = {t: len(theta) + t - 3 for t in range(3, n)}
+    theta.extend(-rng.randrange(1, 50) for _ in q)
 
     def path(i: int, j: int) -> Candidate:
-        coeffs = {p[i]: 1, p[j]: 1}
         if i == 1 and j == 2:
             span = range(3, n)
         elif i == 1:
@@ -241,9 +190,7 @@ def _caterpillar_candidates(
             span = range(j, n)
         else:
             span = range(i, j)
-        for t in span:
-            coeffs[q[t]] = coeffs.get(q[t], 0) + 1
-        return (coeffs, Fraction(0))
+        return (dict.fromkeys([p[i], p[j], *(q[t] for t in span)], 1), 0)
 
     return {(i, j): [path(i, j)] for i, j in offdiag_positions(n)}
 

@@ -308,6 +308,20 @@ class TestCli:
         assert lines[0].startswith("notion,n,r,formula,sampled,match")
         assert all(",True," in l or l.startswith("notion") for l in lines)
 
+    def test_dimension_grid_starts_at_the_notions_smallest_n(self, capsys):
+        # The grid takes --n as the --r mode does: below the notion's
+        # smallest n (3 for star and tree) it is a usage error, not an
+        # empty CSV.  Sym is defined from n = 1, and its grid starts there.
+        assert main(["dimension", "--notion", "tree", "--n", "2", "--grid"]) == 2
+        assert capsys.readouterr() == ("", "error: need n >= 3\n")
+        assert main(["dimension", "--notion", "sym", "--n", "2", "--grid"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "notion,n,r,formula,sampled,match,trials,seed",
+            "sym,1,1,1,1,True,10,0",
+            "sym,2,1,2,2,True,10,0",
+            "sym,2,2,3,3,True,10,0",
+        ]
+
     def test_generate_tr6_matches_library(self):
         out = run_cli("generate", "tr6").stdout
         assert parse_matrix(out) == tr6_matrix()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -191,6 +192,7 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on the first call, not at import; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="troprank",

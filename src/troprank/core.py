@@ -219,8 +219,12 @@ class _PairIndexed:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("rows must form a square matrix")
+        # The str test first: `Fraction == "*"` runs the `numbers` ABC checks.
         grid = [
-            [None if cls.offset and (x is None or x == "*") else frac(x) for x in row]
+            [
+                None if cls.offset and (x is None or (isinstance(x, str) and x == "*")) else frac(x)
+                for x in row
+            ]
             for row in rows
         ]
         for i in range(n):
@@ -309,7 +313,13 @@ def star_matrix(v: Sequence[object]) -> DissimilarityMatrix:
 
 def _generated(space, v: Sequence[object]) -> Matrix:
     w = as_vector(v)
-    return space.from_function(len(w), lambda i, j: w[i - 1] + w[j - 1])
+    # Summed in ints: entry {i,j} is (a_i + a_j) / s, s the lcm of the denominators.
+    s = math.lcm(*(x.denominator for x in w))
+    a = [x.numerator * (s // x.denominator) for x in w]
+    n = len(a)
+    return space(
+        n, tuple(Fraction(a[i] + a[j], s) for i in range(n) for j in range(i + space.offset, n))
+    )
 
 
 def project(m: SymmetricMatrix) -> DissimilarityMatrix:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from troprank import cli
 from troprank.cli import main
 from troprank.core import DissimilarityMatrix, SymmetricMatrix, frac, principal_submatrix
 from troprank.decomposition import TREE
@@ -321,6 +322,35 @@ class TestCli:
             "sym,2,1,2,2,True,10,0",
             "sym,2,2,3,3,True,10,0",
         ]
+
+    def test_one_parser_serves_every_call_and_keeps_no_state(self, tmp_path, capsys):
+        # `main` parses with one parser per process.  Each call in a sequence
+        # in this process prints what its argv prints alone in a fresh one.
+        assert cli.build_parser() is cli.build_parser()
+        mpath = tmp_path / "m.diss"
+        mpath.write_text(run_cli("generate", "random", "5", "--seed", "8").stdout)
+        dpath = tmp_path / "dec.json"
+        dpath.write_text(run_cli("decompose", str(mpath), "--notion", "star").stdout)
+        sequence = [
+            ["rank", str(mpath)],  # no --notion: a usage error
+            ["--version"],
+            ["rank", str(mpath), "--notion", "tree"],
+            ["deficiency", str(mpath), "--basis", "pluecker", "--format", "dot"],
+            ["decompose", str(mpath), "--notion", "star"],
+            ["verify", "--matrix", str(mpath), "--decomposition", str(dpath)],
+        ]
+        codes = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse exits on usage errors and --version
+                code = exc.code
+            codes.append(code)
+            alone = subprocess.run(
+                [sys.executable, "-m", "troprank", *argv], capture_output=True, text=True
+            )
+            assert (code, capsys.readouterr().out) == (alone.returncode, alone.stdout), argv
+        assert codes == [2, 0, 0, 0, 0, 0]
 
     def test_generate_tr6_matches_library(self):
         out = run_cli("generate", "tr6").stdout

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,22 +21,30 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 # chromatic number of a deficiency graph with a loop.
 INFINITE = math.inf
 
+# Entry strings as README and `matrixio` document them.  `Fraction(str)` also
+# takes decimals, "_" and exponents: "1e999999999" computes 10**999999999.
+_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
 
 def frac(value) -> Fraction:
     """Coerce an int, string ("7", "-3/4") or Fraction to an exact rational.
 
     Floats are rejected: rounding would make min-ties undecidable.  So are
-    bools, which are ints to Python but no entry a matrix file means.
+    bools, which are ints to Python but no entry a matrix file means, and
+    strings of any other form than `_RATIONAL` (a ValueError).
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+        match = _RATIONAL.fullmatch(value)
+        if not match:
+            raise ValueError(f"not an integer or p/q rational: {value!r}")
+        den = int(match[2] or 1)
+        if not den:
+            raise ValueError(f"zero denominator in {value!r}")
+        return Fraction(int(match[1]), den)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

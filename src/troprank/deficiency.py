@@ -141,10 +141,13 @@ def rank_lower_bound(w: Matrix, basis: str):
 def exact_graph_coloring(vertices: Sequence, edges: Iterable[frozenset]):
     """Exact (chi, coloring dict) for a simple graph given as edge sets.
 
-    Strategy: split off vertices of positive degree, decompose along
+    Strategy: color isolated vertices 1, decompose the rest along
     connected components of the complement (the graph is then a join, and
-    chromatic numbers add), and solve each factor by iterated k-coloring
-    between the clique bound and the DSATUR greedy bound.
+    chromatic numbers add), and solve each factor with `_dsatur` alone.
+    The first pass has more colors than any degree, so it is the greedy
+    coloring; each later pass asks for one color fewer than the last
+    coloring used.  k-colorability is monotone in k and `_dsatur` is a
+    complete search, so the first refuted pass proves chi.
     """
     vertices = list(vertices)
     if not vertices:
@@ -163,14 +166,10 @@ def exact_graph_coloring(vertices: Sequence, edges: Iterable[frozenset]):
         return 1, coloring
     chi = 0
     for part in _complement_components(active, adj):
-        colors = [-1] * len(adj)
-        _dsatur(part, adj, 1 + max((adj[i] & part).bit_count() for i in _bits(part)), colors)
-        k = max(colors) + 1
-        for low in range(_max_clique_mask(part, adj).bit_count(), k):
-            attempt = _k_coloring(part, adj, low)
-            if attempt is not None:
-                k, colors = low, attempt
-                break
+        k = 2 + max((adj[i] & part).bit_count() for i in _bits(part))
+        attempt = [-1] * len(adj)
+        while _dsatur(part, adj, k - 1, attempt):
+            k, colors, attempt = max(attempt) + 1, attempt, [-1] * len(adj)
         for i in _bits(part):
             coloring[vertices[i]] = chi + colors[i] + 1
         chi += k
@@ -201,51 +200,6 @@ def _complement_components(vertices: int, adj: Sequence[int]) -> list[int]:
     return parts
 
 
-def _max_clique_mask(part: int, adj: list[int]) -> int:
-    best_mask = 0
-
-    def expand(clique_mask: int, cand: int, size: int) -> None:
-        nonlocal best_mask
-        if size + cand.bit_count() <= best_mask.bit_count():
-            return
-        if cand == 0:
-            if size > best_mask.bit_count():
-                best_mask = clique_mask
-            return
-        while cand:
-            if size + cand.bit_count() <= best_mask.bit_count():
-                return
-            v = cand.bit_length() - 1
-            bit = 1 << v
-            cand &= ~bit
-            expand(clique_mask | bit, cand & adj[v], size + 1)
-
-    expand(0, part, 0)
-    return best_mask
-
-
-def _k_coloring(part: int, adj: list[int], k: int) -> Optional[list[int]]:
-    """A coloring of `part` with colors 0..k-1 (-1 off `part`), or None."""
-    # Vertices with degree < k can always be colored last.
-    core = part
-    peeled: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for v in _bits(core):
-            if (adj[v] & core).bit_count() < k:
-                core ^= 1 << v
-                peeled.append(v)
-                changed = True
-    colors = [-1] * len(adj)
-    if not _dsatur(core, adj, k, colors):
-        return None
-    for v in reversed(peeled):
-        used = {colors[u] for u in _bits(adj[v] & part)}
-        colors[v] = next(c for c in range(k) if c not in used)
-    return colors
-
-
 def _dsatur(part: int, adj: list[int], k: int, colors: list[int]) -> bool:
     """Color the vertices of `part` into `colors` with colors 0..k-1.
 
@@ -255,7 +209,8 @@ def _dsatur(part: int, adj: list[int], k: int, colors: list[int]) -> bool:
     its neighbors per color, updated as colors are placed and taken back.
     With k above the largest degree in `part` no vertex runs out of
     colors, so nothing is taken back and the result is the DSATUR greedy
-    coloring.
+    coloring.  With a smaller k the search is exhaustive: False means
+    `part` has no k-coloring.
     The placed colors form an explicit stack, so no recursion limit
     applies to the size of `part`.
     """

@@ -2,6 +2,7 @@
 projections, and the block-extension constructions."""
 
 import random
+import time
 
 import pytest
 
@@ -51,6 +52,16 @@ class TestExactScalars:
     def test_zero_denominator_is_a_value_error(self):
         with pytest.raises(ValueError, match="zero denominator"):
             frac("1/0")
+
+    @pytest.mark.parametrize("text", ["1e999999999", "0.5", "1_000"])
+    def test_only_integers_and_p_q_strings(self, text):
+        # Fraction(str) takes all three; the exponent one would compute
+        # 10**999999999 first.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="not an integer or p/q rational"):
+            frac(text)
+        assert time.perf_counter() - start < 1
+        assert frac("+12/8") == frac("3/2")
 
     def test_branch_length_rendering(self):
         assert format_decimal_or_ratio(frac("1/2")) == "0.5"

@@ -11,6 +11,7 @@ from troprank.core import (
     DissimilarityMatrix,
     SymmetricMatrix,
     apply_permutation,
+    principal_submatrix,
     project,
     rank_one_symmetric,
 )
@@ -21,6 +22,9 @@ from troprank.deficiency import (
     PETERSEN_EDGES,
     SPARSE,
     TRIVIAL,
+    _bits,
+    _complement_components,
+    _dsatur,
     build_deficiency,
     chromatic_number,
     classify_petersen,
@@ -29,6 +33,7 @@ from troprank.deficiency import (
     petersen_even_cycles,
     rank_lower_bound,
 )
+from troprank.generators import tr6_blocks
 from troprank.membership import (
     PLUECKER,
     STAR_TREE,
@@ -37,7 +42,7 @@ from troprank.membership import (
     is_tree_matrix,
 )
 
-from conftest import random_dissimilarity, random_symmetric
+from conftest import random_dissimilarity, random_finite_symmetric, random_symmetric
 
 
 def brute_chromatic(vertices, edges):
@@ -50,6 +55,66 @@ def brute_chromatic(vertices, edges):
             if all(coloring[u] != coloring[v] for u, v in pairs):
                 return k
     return 0
+
+
+def reference_coloring(vertices, edges):
+    """Chi by the earlier upward route, and per complement component the
+    triple (DSATUR greedy colors, clique number, chi).
+
+    Each component's k runs up from a max-clique branch and bound until a
+    k-coloring exists; a k-coloring peels vertices of degree < k, colors
+    the rest by `_dsatur`, and colors the peeled vertices last, greedily.
+    """
+    vertices = list(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    adj = [0] * len(vertices)
+    for e in edges:
+        u, v = (index[x] for x in e)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+    def max_clique(part):
+        best = 0
+
+        def expand(cand, size):
+            nonlocal best
+            while cand and size + cand.bit_count() > best:
+                v = cand.bit_length() - 1
+                cand &= ~(1 << v)
+                expand(cand & adj[v], size + 1)
+            best = max(best, size)
+
+        expand(part, 0)
+        return best
+
+    def k_coloring(part, k):
+        core, peeled, changed = part, [], True
+        while changed:
+            changed = False
+            for v in _bits(core):
+                if (adj[v] & core).bit_count() < k:
+                    core ^= 1 << v
+                    peeled.append(v)
+                    changed = True
+        colors = [-1] * len(adj)
+        if not _dsatur(core, adj, k, colors):
+            return None
+        for v in reversed(peeled):
+            used = {colors[u] for u in _bits(adj[v] & part)}
+            colors[v] = next(c for c in range(k) if c not in used)
+        return colors
+
+    active = sum(1 << i for i, nb in enumerate(adj) if nb)
+    chi, parts = (0 if active else 1), []
+    for part in _complement_components(active, adj):
+        colors = [-1] * len(adj)
+        _dsatur(part, adj, 1 + max((adj[i] & part).bit_count() for i in _bits(part)), colors)
+        greedy = max(colors) + 1
+        clique = max_clique(part)
+        k = next(low for low in range(clique, greedy + 1) if low == greedy or k_coloring(part, low))
+        parts.append((greedy, clique, k))
+        chi += k
+    return chi, parts
 
 
 def proper(coloring, edges):
@@ -159,6 +224,37 @@ class TestBuildDeficiency:
             edges_seen += len(h.hyperedges)
         assert edges_seen > 50
 
+    @pytest.mark.parametrize("basis", [SYMMETRIC_MINORS, STAR_TREE, PLUECKER])
+    def test_principal_submatrix_gives_the_induced_graph(self, basis):
+        # Every edge's relation lives on the indices of the edge's two
+        # positions, so dropping an index drops exactly the edges and
+        # relations that use it.
+        rng = random.Random(12)
+        for trial in range(4):
+            if basis != SYMMETRIC_MINORS:
+                m = random_dissimilarity(rng, 7, 0, 3)
+            elif trial % 2:
+                m = random_finite_symmetric(rng, 7, 0, 3)
+            else:
+                m = random_symmetric(rng, 7, 0, 3)
+            h = build_deficiency(m, basis)
+            chi = chromatic_number(h)
+            for idx in itertools.combinations(range(1, 8), 6):
+                label = {v: a for a, v in enumerate(idx, start=1)}
+
+                def move(p):
+                    return (label[p[0]], label[p[1]])
+
+                induced = h.induced(v for v in h.vertices if set(v) <= set(idx))
+                sub = build_deficiency(principal_submatrix(m, idx), basis)
+                assert sub.vertices == tuple(map(move, induced.vertices))
+                assert sub.hyperedges == tuple(frozenset(map(move, e)) for e in induced.hyperedges)
+                assert sub.provenance == {
+                    frozenset(map(move, e)): tuple(tuple(map(move, t)) for t in relation)
+                    for e, relation in induced.provenance.items()
+                }
+                assert chromatic_number(sub) <= chi
+
     def test_provenance_and_exports(self, intro_dissimilarity):
         h = build_deficiency(intro_dissimilarity, STAR_TREE)
         assert all(e in h.provenance for e in h.hyperedges)
@@ -205,8 +301,8 @@ class TestChromaticNumber:
             assert proper(coloring, edges)
 
     def test_colorings_that_take_colors_back(self):
-        # The Groetzsch graph: triangle-free with minimum degree 3, so nothing
-        # is peeled at k = 3 and both refutations below chi = 4 backtrack.
+        # The Groetzsch graph: triangle-free with minimum degree 3, so the
+        # refutation of k = 3 below chi = 4 backtracks.
         outer = [frozenset({i, (i + 1) % 5}) for i in range(5)]
         spokes = [frozenset({i, 5 + j}) for i in range(5) for j in ((i - 1) % 5, (i + 1) % 5)]
         hub = [frozenset({5 + i, 10}) for i in range(5)]
@@ -224,6 +320,37 @@ class TestChromaticNumber:
             chi, coloring = exact_graph_coloring(list(range(n)), edges)
             assert chi == 4
             assert proper(coloring, edges) and set(coloring.values()) == {1, 2, 3, 4}
+
+    def test_matches_the_clique_bound_reference(self):
+        # Seeded deficiency graphs of all three bases (entries 0..top over
+        # denominators 1 and 2, so with ties; symmetric diagonals 0, so no
+        # loops), and tr6-blocks 2 (one component, clique 8, chi 12).
+        rng = random.Random(1)
+        graphs = []
+        for basis in (SYMMETRIC_MINORS, STAR_TREE, PLUECKER):
+            space = SymmetricMatrix if basis == SYMMETRIC_MINORS else DissimilarityMatrix
+            for trial in range(40):
+                top = (2, 4, 9)[trial % 3]
+                m = space.from_function(
+                    6 + trial % 5,
+                    lambda i, j: 0 if i == j else Fraction(rng.randint(0, top), rng.choice((1, 2))),
+                )
+                graphs.append(build_deficiency(m, basis))
+        graphs.append(build_deficiency(tr6_blocks(2), PLUECKER))
+        parts = []
+        for h in graphs:
+            assert not h.loops()
+            edges = h.graph_edges()
+            chi, coloring = exact_graph_coloring(h.vertices, edges)
+            reference, stats = reference_coloring(h.vertices, edges)
+            assert chi == reference
+            assert proper(coloring, edges) and set(coloring.values()) == set(range(1, chi + 1))
+            parts += stats
+        assert chi == 12
+        # Somewhere the greedy count is at least chi + 2, and somewhere the
+        # clique number is below chi.
+        assert any(greedy >= k + 2 for greedy, _, k in parts)
+        assert any(clique < k for _, clique, k in parts)
 
     def test_loop_is_rejected(self):
         with pytest.raises(ValueError, match="loops make the chromatic number infinite"):

@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -151,6 +152,15 @@ class TestCli:
         out = run_cli("rank", str(path), "--notion", "sym")
         assert out.returncode == 2
         assert "error" in out.stderr
+
+    @pytest.mark.parametrize("cell", ["1e999999999", "0.5", "1_000"])
+    def test_cell_outside_the_format_fails_at_once(self, tmp_path, capsys, cell):
+        path = tmp_path / "bad.sym"
+        path.write_text(f"symmetric 2\n0 {cell}\n{cell} 0\n")
+        start = time.perf_counter()
+        assert main(["rank", str(path), "--notion", "sym"]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"bad entry {cell!r} at row 1, column 2" in capsys.readouterr().err
 
     def test_notion_space_mismatch(self, tmp_path):
         path = tmp_path / "m.diss"

@@ -152,7 +152,10 @@ def cmd_dimension(args) -> int:
 def cmd_verify(args) -> int:
     m = _load(args.matrix)
     with open(args.decomposition, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise MatrixFormatError("decomposition file nests too deeply") from None
     if not isinstance(data, dict):
         raise MatrixFormatError("decomposition file must hold a JSON object")
     notion = data.get("notion")

@@ -15,8 +15,8 @@ row that P does not need changes nothing: of rows whose heads are positive
 multiples of each other, each eliminated system keeps only the one with
 the largest bound.
 
-`rational_rank` counts the pivots of the same fraction-free forward
-elimination (`_echelon`) that removes those equalities.
+`rational_rank` counts the pivots of the same fraction-free elimination
+(`_echelon`) that removes those equalities.
 
 Rows of ints enter the kernel as they are and rational rows are scaled to
 integers; every elimination step is a fraction-free integer combination,
@@ -60,22 +60,20 @@ def _primitive(row: Sequence[int]) -> tuple[int, ...]:
 def _echelon(
     nvars: int, equalities: Sequence[tuple[Sequence, object]]
 ) -> Optional[list[tuple[int, tuple[int, ...]]]]:
-    """Fraction-free forward elimination of sum(a*x) = c rows, or None when
-    they are inconsistent.
+    """Fraction-free elimination of sum(a*x) = c rows to reduced echelon
+    form, or None when they are inconsistent.
 
     Returns pivots[k] = (var, row): row says sum(row[:-1] * x) = row[-1],
-    in integers, with row[var] > 0 and a zero in the column of every
-    earlier pivot; var is the first nonzero column of the reduced row.
+    in primitive integers, with row[var] > 0 and a zero in the column of
+    every other pivot; var is the first nonzero column of the row.  Such a
+    row is unique, whatever the order and scaling of the equalities.
     """
     pivots: list[tuple[int, tuple[int, ...]]] = []
     for coeffs, const in equalities:
         row = _integer_row(coeffs, const)
         for var, pivot_row in pivots:
-            t = row[var]
-            if t:
-                # pivot_row[var] * row - t * pivot_row: zero in column var.
-                s = pivot_row[var]
-                row = [s * a - t * b for a, b in zip(row, pivot_row)]
+            if row[var]:
+                row = _cleared(row, pivot_row, var)
         row = _primitive(row)
         pivot = next((k for k in range(nvars) if row[k]), None)
         if pivot is None:
@@ -84,8 +82,15 @@ def _echelon(
             continue
         if row[pivot] < 0:
             row = tuple(-v for v in row)
+        pivots = [(v, _primitive(_cleared(r, row, pivot)) if r[pivot] else r) for v, r in pivots]
         pivots.append((pivot, row))
     return pivots
+
+
+def _cleared(row: Sequence[int], pivot_row: Sequence[int], var: int) -> list[int]:
+    """pivot_row[var] * row - row[var] * pivot_row: zero in column var."""
+    s, t = pivot_row[var], row[var]
+    return [s * a - t * b for a, b in zip(row, pivot_row)]
 
 
 def solve_linear_feasibility(
@@ -96,31 +101,17 @@ def solve_linear_feasibility(
     """A point satisfying sum(a*x) = c and sum(a*x) >= c systems, or None.
 
     The point is the one the module docstring defines.  Equalities are
-    removed by `_echelon` and back-substitution; the free system goes
-    through Fourier-Motzkin.
+    removed by `_echelon`; the free system goes through Fourier-Motzkin.
     """
     pivots = _echelon(nvars, equalities)
     if pivots is None:
         return None
     pivot_vars = {var for var, _ in pivots}
     free_vars = [k for k in range(nvars) if k not in pivot_vars]
-    # Back-substitution, last pivot first: expressed[var] = (m, expr) says
-    # m * x_var + expr[:-1] . x_free = expr[-1], with m > 0.
-    expressed: dict[int, tuple[int, list[int]]] = {}
-    for var, row in reversed(pivots):
-        factor = 1  # the row times factor, with later pivots substituted
-        expr = [row[f] for f in free_vars] + [row[-1]]
-        for later, (m_later, expr_later) in expressed.items():
-            a = factor * row[later]
-            if a:
-                factor *= m_later
-                expr = [m_later * e - a * l for e, l in zip(expr, expr_later)]
-        m = factor * row[var]
-        g = gcd(m, *expr)
-        expressed[var] = (m // g, [e // g for e in expr])
-    # Over one multiplier `scale`: scale * x_var = expr[-1] - expr[:-1] . x_free.
-    scale = lcm(*(m for m, _ in expressed.values()))
-    exprs = [(var, [scale // m * e for e in expr]) for var, (m, expr) in expressed.items()]
+    # A pivot row reads row[var] * x_var + row[free] . x_free = row[-1].  Over
+    # one multiplier `scale`: scale * x_var = expr[-1] - expr[:-1] . x_free.
+    scale = lcm(*(row[var] for var, row in pivots))
+    exprs = [(var, [scale // row[var] * row[k] for k in (*free_vars, -1)]) for var, row in pivots]
 
     reduced = []
     for coeffs, const in inequalities:

@@ -81,10 +81,9 @@ class SubmatrixConjectureReport:
 
 
 def _tree_rank_at_most_2(m: DissimilarityMatrix) -> bool:
-    # With budget 2 an interval always has lower >= 3: the search covers
-    # every r <= 2, or the chromatic bound is already >= 3.
-    result = exact_rank(m, TREE, budget=2)
-    return result.status == "finite" and result.value <= 2
+    # With budget 2 the search covers every r <= 2, so a rank of at most 2
+    # is found and is the certified upper end.
+    return exact_rank(m, TREE, budget=2).upper <= 2
 
 
 def submatrix_conjecture(trials: int, seed: int) -> SubmatrixConjectureReport:

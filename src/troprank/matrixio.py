@@ -39,11 +39,12 @@ def parse_matrix(text: str) -> Matrix:
         raise MatrixFormatError(
             "header must be 'symmetric N' or 'dissimilarity N'"
         )
-    kind = header[0]
-    try:
-        n = int(header[1])
-    except ValueError:
-        raise MatrixFormatError(f"bad dimension {header[1]!r}") from None
+    kind, size = header
+    # ASCII digits only, as in entries: `int` also takes "+", "_" and
+    # non-ASCII digits.
+    if not (size.isascii() and size.isdigit()):
+        raise MatrixFormatError(f"bad dimension {size!r}")
+    n = int(size)
     if n < 1:
         raise MatrixFormatError("dimension must be positive")
     if len(lines) != n + 1:

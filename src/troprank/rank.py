@@ -46,14 +46,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
 
-from .core import (
-    INFINITE,
-    DissimilarityMatrix,
-    Matrix,
-    Position,
-    SymmetricMatrix,
-    quartets,
-)
+from .core import INFINITE, DissimilarityMatrix, Matrix, Position, quartets
 from .decomposition import (  # noqa: F401  (the errors are re-exported)
     CertificateError,
     ConstructionError,
@@ -64,15 +57,11 @@ from .decomposition import (  # noqa: F401  (the errors are re-exported)
     TREE,
     certify,
     rank1_summand,
+    space_for,
     star_summand,
     tree_summand,
 )
-from .deficiency import (
-    DeficiencyHypergraph,
-    _bits,
-    build_deficiency,
-    optimal_coloring,
-)
+from .deficiency import DeficiencyHypergraph, _bits, build_deficiency, optimal_coloring
 from .exactlp import TwoVarSystem, solve_linear_feasibility
 from .membership import PLUECKER, STAR_TREE, SYMMETRIC_MINORS
 from .trees import WeightedTree
@@ -88,16 +77,8 @@ from .upper import (  # noqa: F401  (re-exported)
 )
 
 METHODS = ("auto", "exact", "bounds")
-
-
-def basis_for_notion(notion: str) -> str:
-    if notion == SYM:
-        return SYMMETRIC_MINORS
-    if notion == STAR:
-        return STAR_TREE
-    if notion == TREE:
-        return PLUECKER
-    raise ValueError(f"unknown rank notion {notion!r}; expected one of {NOTIONS}")
+# The deficiency graph of each notion comes from this basis.
+_BASIS = {SYM: SYMMETRIC_MINORS, STAR: STAR_TREE, TREE: PLUECKER}
 
 
 def tree_upper_decomposition(m: DissimilarityMatrix) -> Decomposition:
@@ -119,23 +100,43 @@ def tree_upper_decomposition(m: DissimilarityMatrix) -> Decomposition:
 
 @dataclass(frozen=True)
 class RankResult:
+    """A certified rank interval lower..upper, the rank when the ends meet.
+
+    `status` and `value` (the rank) derive from the two ends: "infinite"
+    when lower is infinite, else "finite" with value lower == upper, else
+    "interval" with value None.  An interval that is empty, or lies below
+    its own chromatic bound, raises CertificateError.
+    """
+
     notion: str
-    status: str  # "finite" | "infinite" | "interval"
-    value: object  # int, math.inf, or None for intervals
-    lower: object
+    lower: object  # int or math.inf
     upper: object
     chromatic_bound: object
     lower_certificate: dict
     decomposition: Optional[Decomposition] = None
     infinite_witness: Optional[Position] = None
 
+    def __post_init__(self):
+        if max(self.lower, self.chromatic_bound) > self.upper:
+            raise CertificateError(
+                f"{self.notion} rank bounds disagree: lower {self.lower},"
+                f" chromatic {self.chromatic_bound}, upper {self.upper}"
+            )
+
+    @property
+    def status(self) -> str:
+        if self.lower == INFINITE:
+            return "infinite"
+        return "finite" if self.lower == self.upper else "interval"
+
+    @property
+    def value(self) -> object:
+        """The rank (an int or math.inf), or None for an interval."""
+        return self.lower if self.lower == self.upper else None
+
     @property
     def chromatic_equals_rank(self) -> Optional[bool]:
-        if self.status == "interval":
-            return None
-        if self.status == "infinite":
-            return self.chromatic_bound == INFINITE
-        return self.chromatic_bound == self.value
+        return None if self.value is None else self.chromatic_bound == self.value
 
     def to_json_dict(self) -> dict:
         def enc(v):
@@ -163,22 +164,8 @@ class RankResult:
 
 
 def _infinite_result(notion: str, witness: Position) -> RankResult:
-    return RankResult(
-        notion,
-        "infinite",
-        INFINITE,
-        INFINITE,
-        INFINITE,
-        INFINITE,
-        {"type": "finiteness-violation", "pair": list(witness)},
-        infinite_witness=witness,
-    )
-
-
-def _finite_result(
-    notion: str, value: int, chi: int, dec: Optional[Decomposition], certificate: dict
-) -> RankResult:
-    return RankResult(notion, "finite", value, value, value, chi, certificate, dec)
+    certificate = {"type": "finiteness-violation", "pair": list(witness)}
+    return RankResult(notion, INFINITE, INFINITE, INFINITE, certificate, infinite_witness=witness)
 
 
 def compute_rank(
@@ -208,10 +195,8 @@ def _check_budget(budget: Optional[int]) -> None:
 def check_space(m: Matrix, notion: str) -> None:
     if notion not in NOTIONS:
         raise ValueError(f"unknown rank notion {notion!r}")
-    if notion == SYM and not isinstance(m, SymmetricMatrix):
-        raise TypeError("symmetric rank applies to symmetric matrices")
-    if notion in (STAR, TREE) and not isinstance(m, DissimilarityMatrix):
-        raise TypeError(f"{notion} rank applies to dissimilarity matrices")
+    if not isinstance(m, space_for(notion)):
+        raise TypeError(f"{notion} rank applies to {space_for(notion).__name__} inputs")
 
 
 def _zero_one_rank(m: Matrix, notion: str) -> RankResult:
@@ -227,12 +212,14 @@ def _zero_one_rank(m: Matrix, notion: str) -> RankResult:
     if outcome.solid is not None:
         certificate["solid"] = outcome.solid
     chi = _chromatic(m, notion)[1]
-    return _finite_result(notion, outcome.value, chi, outcome.decomposition, certificate)
+    return RankResult(
+        notion, outcome.value, outcome.value, chi, certificate, outcome.decomposition
+    )
 
 
 def _chromatic(m: Matrix, notion: str) -> tuple[DeficiencyHypergraph, int]:
     """The deficiency graph of m and its chromatic number, a rank lower bound."""
-    hypergraph = build_deficiency(m, basis_for_notion(notion))
+    hypergraph = build_deficiency(m, _BASIS[notion])
     chi, _ = optimal_coloring(hypergraph)
     if chi == INFINITE:
         raise CertificateError("the deficiency graph of a finite-rank input has a loop")
@@ -265,35 +252,26 @@ def exact_rank(
             return _infinite_result(notion, violation)
     hypergraph, chi = _chromatic(m, notion)
     ub = upper_size(notion, m.n)
-    budget_eff = ub if budget is None else budget
     if chi <= 1:
         one = one_summand(m, notion)
         if one is not None:
-            return _finite_result(notion, 1, chi, one, _lower_certificate(chi, 1, 0))
+            return RankResult(notion, 1, 1, chi, _lower_certificate(chi, 1, 0), one)
     searched_through = max(2, chi) - 1  # r = 1 is out: by χ, or by membership
-    ranks = range(searched_through + 1, min(ub, budget_eff + 1))
+    ranks = range(searched_through + 1, ub if budget is None else min(ub, budget + 1))
     searcher = _AssignmentSearcher(m, notion, hypergraph) if ranks else None
     for r in ranks:
         witnesses = searcher.search(r)
         if witnesses is not None:
             dec = certify(m, _decomposition_from_witnesses(m, notion, witnesses))
-            return _finite_result(notion, r, chi, dec, _lower_certificate(chi, r, searched_through))
+            cert = _lower_certificate(chi, r, searched_through)
+            return RankResult(notion, r, r, chi, cert, dec)
         searched_through = r
-    upper_dec = _upper_for_search(m, notion)
-    lower_proved = max(chi, searched_through + 1)
-    if ub <= budget_eff or lower_proved >= ub:
-        cert = _lower_certificate(chi, ub, searched_through)
-        return _finite_result(notion, ub, chi, upper_dec, cert)
-    return RankResult(
-        notion,
-        "interval",
-        None,
-        lower_proved,
-        ub,
-        chi,
-        _lower_certificate(chi, lower_proved, searched_through),
-        upper_dec,
-    )
+    # A budget of at least ub searched every r below ub, so lower >= ub
+    # then; a lower above ub (a chromatic bound past the construction)
+    # raises in RankResult.
+    lower = max(chi, searched_through + 1)
+    cert = _lower_certificate(chi, lower, searched_through)
+    return RankResult(notion, lower, ub, chi, cert, _upper_for_search(m, notion))
 
 
 def _lower_certificate(chi: int, value: int, searched_through: int) -> dict:

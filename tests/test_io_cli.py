@@ -162,6 +162,14 @@ class TestCli:
         assert time.perf_counter() - start < 1
         assert f"bad entry {cell!r} at row 1, column 2" in capsys.readouterr().err
 
+    # "\u0662" is the Arabic-Indic digit two, which `int` reads as 2.
+    @pytest.mark.parametrize("size", ["\u0662", "+0_2", "2_0"])
+    def test_dimension_outside_ascii_digits_is_rejected(self, tmp_path, capsys, size):
+        path = tmp_path / "bad.sym"
+        path.write_text(f"symmetric {size}\n0 1\n1 0\n", encoding="utf-8")
+        assert main(["rank", str(path), "--notion", "sym"]) == 2
+        assert f"bad dimension {size!r}" in capsys.readouterr().err
+
     def test_notion_space_mismatch(self, tmp_path):
         path = tmp_path / "m.diss"
         path.write_text(run_cli("generate", "min", "5").stdout)
@@ -229,6 +237,16 @@ class TestCli:
         assert out.returncode == 2
         assert out.stderr.startswith("error: ")
         assert "Traceback" not in out.stderr
+
+    def test_verify_deeply_nested_file_is_a_usage_error(self, tmp_path, capsys):
+        # `json.load` recurses once per "[": past the recursion limit the
+        # file is bad input (exit 2), not an internal fault (exit 5).
+        mpath = tmp_path / "m.diss"
+        mpath.write_text(serialize_matrix(generate("min", 5)))
+        dpath = tmp_path / "dec.json"
+        dpath.write_text("[" * 100_000)
+        assert main(["verify", "--matrix", str(mpath), "--decomposition", str(dpath)]) == 2
+        assert capsys.readouterr().err == "error: decomposition file nests too deeply\n"
 
     def test_verify_zero_denominator_is_a_usage_error(self, tmp_path, capsys):
         # Exit 2, never 1 ("decomposition rejected") or a traceback.

@@ -31,11 +31,13 @@ from troprank.decomposition import (
     verify_matrices,
 )
 from troprank.generators import block_matrix, generate, tr6_blocks, tr6_matrix
-from troprank.matrixio import parse_matrix
+from troprank.cli import main
+from troprank.matrixio import parse_matrix, serialize_matrix
 from troprank.membership import PLUECKER, is_tree_matrix
 from troprank.deficiency import build_deficiency, chromatic_number
 from troprank.rank import (
     CertificateError,
+    RankResult,
     _AssignmentSearcher,
     _upper_for_search,
     _binary_topologies,
@@ -781,3 +783,51 @@ class TestCertificateChecks:
         m = random_dissimilarity(random.Random(2), 7, 0, 3)
         with pytest.raises(CertificateError):
             exact_rank(m, TREE)
+
+
+class TestRankInterval:
+    # An empty interval, and a chromatic bound above the upper end.  A
+    # raise, not an assert, so the check also runs under python -O.
+    @pytest.mark.parametrize("lower, upper, chi", [(3, 2, 2), (2, 2, 3)])
+    def test_contradictory_bounds_raise(self, lower, upper, chi):
+        with pytest.raises(CertificateError):
+            RankResult(TREE, lower, upper, chi, {"type": "chromatic", "value": chi})
+
+    def test_chromatic_bound_past_the_construction_raises(self, monkeypatch, tmp_path, capsys):
+        # A chromatic bound above the construction contradicts it: the
+        # solver raises (exit 5) instead of reporting the construction's
+        # size as the rank beside a larger chromatic certificate.
+        import troprank.rank as rank_module
+
+        chromatic = rank_module._chromatic
+
+        def inflated(m, notion):
+            hypergraph, _ = chromatic(m, notion)
+            return hypergraph, upper_size(notion, m.n) + 1
+
+        m = random_dissimilarity(random.Random(5), 6, 0, 9)
+        path = tmp_path / "m.diss"
+        path.write_text(serialize_matrix(m))
+        monkeypatch.setattr(rank_module, "_chromatic", inflated)
+        with pytest.raises(CertificateError):
+            exact_rank(m, TREE)
+        assert main(["rank", str(path), "--notion", "tree"]) == 5
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "notion, m, expected",
+        [
+            (STAR, generate("min", 5), ("finite", 3, 3, 3, True)),
+            (
+                SYM,
+                SymmetricMatrix.from_rows([[0, -1, 0], [-1, 0, 0], [0, 0, 0]]),
+                ("infinite", math.inf, math.inf, math.inf, True),
+            ),
+            (TREE, random_dissimilarity(random.Random(13), 6, 0, 9), ("interval", None, 2, 3, None)),
+        ],
+        ids=["finite", "infinite", "interval"],
+    )
+    def test_status_and_rank_derive_from_the_ends(self, notion, m, expected):
+        result = compute_rank(m, notion, "bounds")
+        derived = (result.status, result.value, result.lower, result.upper)
+        assert (*derived, result.chromatic_equals_rank) == expected
